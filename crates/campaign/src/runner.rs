@@ -11,7 +11,7 @@ use crate::telemetry::{Telemetry, Value};
 use benchgen::chaos;
 use benchgen::verify::{compare_profiles, expected_profile, profile_of_trace};
 use benchgen::{generate, GenOptions};
-use conceptual::interp::run_rank;
+use conceptual::interp::{run_program_hooked, RunError};
 use miniapps::{registry, App, AppParams};
 use mpisim::network::NetworkModel;
 use mpisim::profile::MpiP;
@@ -320,13 +320,14 @@ fn run_one(
 
     // 3. Execute the generated benchmark under an mpiP hook: one run yields
     //    both T_gen and the profile for E1.
-    let program = Arc::new(generated.program);
-    let prog = Arc::clone(&program);
-    let (report, hooks) = World::new(job.ranks)
-        .network(model)
-        .run_hooked(|_| MpiP::new(), move |ctx| run_rank(ctx, &prog))
-        .map_err(sim_err)?;
-    let t_gen = report.total_time;
+    let world = World::new(job.ranks).network(model);
+    let (outcome, hooks) = run_program_hooked(&generated.program, world, |_| MpiP::new());
+    let t_gen = outcome
+        .map_err(|e| match e {
+            RunError::Sim(e) => sim_err(e),
+            e => JobError::fatal(format!("generated benchmark is invalid: {e}")),
+        })?
+        .total_time;
 
     // 4. Verify (E1): the generated benchmark's profile must match the
     //    Table-1 image of the original's — reconstructed from the trace, so

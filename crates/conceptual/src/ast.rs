@@ -156,11 +156,16 @@ impl TaskRun {
         self.start + self.stride * (self.count - 1)
     }
 
-    /// Is task `t` in the run?
+    /// Is task `t` in the run? O(1) arithmetic, no expansion.
     pub fn contains(&self, t: usize) -> bool {
-        t >= self.start
-            && t <= self.last()
-            && (self.stride == 0 || (t - self.start).is_multiple_of(self.stride))
+        let Some(offset) = t.checked_sub(self.start) else {
+            return false;
+        };
+        match offset.checked_div(self.stride) {
+            Some(index) => offset.is_multiple_of(self.stride) && index < self.count,
+            // Stride 0 repeats `start`.
+            None => offset == 0 && self.count > 0,
+        }
     }
 }
 

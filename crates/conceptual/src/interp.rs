@@ -22,19 +22,29 @@
 //! statements auto-post the matching receives on the destination tasks
 //! (the convenient coNCePTuaL default, §3.2); generated benchmarks always
 //! carry explicit receives for precise posting-order control.
+//!
+//! Each task runs as a [`Machine`]: a resumable state machine with an
+//! explicit frame stack over the AST. It queues MPI calls on its rank's
+//! [`Ctx`] without blocking and returns to the engine only when it needs a
+//! value back (a split communicator, or the clock for `RESET`/`LOG`) or
+//! has queued enough. [`run_program_on`] and [`run_program_hooked`] let
+//! the engine drive every machine on its own thread; [`run_rank`] drives
+//! one machine on a rank thread, for callers composing their own
+//! [`World::run_hooked`] bodies.
 
 use crate::analyze::{expand_runs, validate};
 use crate::ast::*;
 use mpisim::comm::Comm;
 use mpisim::ctx::Ctx;
 use mpisim::error::SimError;
+use mpisim::hooks::Hook;
 use mpisim::network::NetworkModel;
 use mpisim::time::{SimDuration, SimTime};
-use mpisim::types::{ReqHandle, Src, TagSel};
+use mpisim::types::{Rank, ReqHandle, Src, TagSel};
 use mpisim::world::{RunReport, World};
+use mpisim::RankMachine;
 use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
-use std::sync::Mutex;
 
 /// Execution failure: static validation errors or a simulation error.
 #[derive(Clone, Debug)]
@@ -99,103 +109,181 @@ pub fn run_program_on(program: &Program, world: World, n: usize) -> Result<RunOu
     if !errors.is_empty() {
         return Err(RunError::Validation(errors));
     }
-    let program = Arc::new(program.clone());
-    let logs: Arc<Mutex<Vec<LogEntry>>> = Arc::new(Mutex::new(Vec::new()));
-    let logs_in = Arc::clone(&logs);
-    let report = world
-        .run(move |ctx| {
-            let mut exec = Exec::new(ctx, &program, logs_in.clone());
-            exec.run();
-        })
-        .map_err(RunError::Sim)?;
-    let mut logs = Arc::try_unwrap(logs)
-        .map(|m| m.into_inner().expect("log mutex poisoned"))
-        .unwrap_or_else(|arc| arc.lock().expect("log mutex poisoned").clone());
+    let plan = Plan::new(program, world.size());
+    let (report, machines) = world.run_machines(plan.machines());
+    Ok(outcome(report.map_err(RunError::Sim)?, machines))
+}
+
+/// Execute on `world` with a per-task interposition [`Hook`] made by
+/// `mk_hook` (an mpiP profiler, a trace collector, …). The hooks come back
+/// even when the run fails, holding what each task did up to the failure
+/// (e.g. [`SimError::RankFailed`] under an injected crash).
+pub fn run_program_hooked<H, MK>(
+    program: &Program,
+    world: World,
+    mk_hook: MK,
+) -> (Result<RunOutcome, RunError>, Vec<H>)
+where
+    H: Hook + 'static,
+    MK: FnMut(Rank) -> H,
+{
+    let errors = validate(program, world.size());
+    if !errors.is_empty() {
+        return (Err(RunError::Validation(errors)), Vec::new());
+    }
+    let plan = Plan::new(program, world.size());
+    let (report, hooks, machines) = world.run_machines_hooked(mk_hook, plan.machines());
+    let result = report
+        .map(|report| outcome(report, machines))
+        .map_err(RunError::Sim);
+    (result, hooks)
+}
+
+fn outcome(report: RunReport, machines: Vec<Machine>) -> RunOutcome {
+    let mut logs: Vec<LogEntry> = machines.into_iter().flat_map(|m| m.logs).collect();
     logs.sort_by(|a, b| (a.task, &a.label).cmp(&(b.task, &b.label)));
-    Ok(RunOutcome {
+    RunOutcome {
         total_time: report.total_time,
         report,
         logs,
-    })
+    }
 }
 
 /// Evaluate a constant expression (validation guarantees constness where
 /// this is used).
 pub fn eval_const(e: &Expr) -> i64 {
-    eval(e, &Env::default())
+    eval(e, &Vars::default())
 }
 
 /// Execute a program within an existing rank context (no validation, logs
-/// discarded). This is the building block for callers that manage their own
+/// discarded), blocking on the rank thread whenever the task waits for the
+/// engine. This is the building block for callers that manage their own
 /// [`World`] — e.g. tracing or profiling the generated benchmark by running
 /// it under interposition hooks.
 pub fn run_rank(ctx: &mut Ctx, program: &Program) {
-    let logs = Arc::new(Mutex::new(Vec::new()));
-    let mut exec = Exec::new(ctx, program, logs);
-    exec.run();
+    run_rank_logged(ctx, program);
 }
 
-/// Variable bindings during execution. Binding pushes a borrowed stack
-/// frame instead of cloning a map, so loop bodies bind their iteration
-/// variable without allocating; lookup walks the (shallow) frame chain.
-#[derive(Clone, Copy, Default)]
-pub struct Env<'a> {
-    parent: Option<&'a Env<'a>>,
-    binding: Option<(&'a str, i64)>,
+/// As [`run_rank`], returning the task's `LOG` records.
+pub fn run_rank_logged(ctx: &mut Ctx, program: &Program) -> Vec<LogEntry> {
+    let plan = Plan::new(program, ctx.size());
+    let mut machine = Machine::new(&plan, ctx.rank());
+    while machine.resume(ctx) {
+        ctx.settle();
+    }
+    machine.logs
+}
+
+/// A task ships its deferred MPI calls once this many are queued. The
+/// engine issues a batch one op per round whatever its size, so larger
+/// batches save little and cost memory: each queued op is held by the
+/// task, the engine and the reply mailbox at once.
+const MAX_DEFERRED: usize = 4;
+
+/// What every task of one run shares: the program, and its ad-hoc
+/// collective member sets resolved once.
+struct Plan<'p> {
+    program: &'p Program,
+    n: usize,
+    /// The world communicator, shared by every task's copy.
+    world: Comm,
+    explicit_receives: bool,
+    /// Ad-hoc member sets, in the order every task splits the world for
+    /// them before the program starts.
+    sets: Vec<Vec<usize>>,
+    /// Collective statement (by address) whose participants are constant →
+    /// the communicator they use.
+    slots: HashMap<usize, Slot>,
+}
+
+/// Where a collective statement's constant participant set finds its
+/// communicator.
+#[derive(Clone, Copy)]
+enum Slot {
+    World,
+    /// `Plan::sets[i]`.
+    Set(usize),
+}
+
+fn stmt_key(s: &Stmt) -> usize {
+    s as *const Stmt as usize
+}
+
+impl<'p> Plan<'p> {
+    fn new(program: &'p Program, n: usize) -> Plan<'p> {
+        let (sets, subjects) = collect_adhoc_sets(program, n);
+        let slots = subjects
+            .into_iter()
+            .filter_map(|(key, members)| {
+                let slot = if members.len() == n {
+                    Slot::World
+                } else {
+                    Slot::Set(sets.iter().position(|s| *s == members)?)
+                };
+                Some((key, slot))
+            })
+            .collect();
+        Plan {
+            program,
+            n,
+            world: Comm::world(0, n),
+            explicit_receives: program.has_explicit_receives(),
+            sets,
+            slots,
+        }
+    }
+
+    fn machines(&self) -> Vec<Machine<'_>> {
+        (0..self.n).map(|rank| Machine::new(self, rank)).collect()
+    }
+}
+
+/// Variable bindings, innermost last: the executing task's `t` at the
+/// bottom, then `FOR EACH` variables and bound task variables.
+#[derive(Default)]
+struct Vars<'p> {
     num_tasks: i64,
+    stack: Vec<(&'p str, i64)>,
 }
 
-impl<'a> Env<'a> {
-    fn bind<'b>(&'b self, name: &'b str, value: i64) -> Env<'b> {
-        Env {
-            parent: Some(self),
-            binding: Some((name, value)),
-            num_tasks: self.num_tasks,
-        }
-    }
-
+impl Vars<'_> {
     fn get(&self, name: &str) -> Option<i64> {
-        let mut cur = Some(self);
-        while let Some(e) = cur {
-            if let Some((n, v)) = e.binding {
-                if n == name {
-                    return Some(v);
-                }
-            }
-            cur = e.parent;
-        }
-        None
+        self.stack
+            .iter()
+            .rev()
+            .find(|(n, _)| *n == name)
+            .map(|&(_, v)| v)
     }
 }
 
-fn eval(e: &Expr, env: &Env) -> i64 {
+fn eval(e: &Expr, vars: &Vars) -> i64 {
     match e {
         Expr::Num(v) => *v,
-        Expr::NumTasks => env.num_tasks,
-        Expr::Var(v) => env
+        Expr::NumTasks => vars.num_tasks,
+        Expr::Var(v) => vars
             .get(v)
             .unwrap_or_else(|| panic!("unbound variable {v} (validation gap)")),
-        Expr::Add(a, b) => eval(a, env) + eval(b, env),
-        Expr::Sub(a, b) => eval(a, env) - eval(b, env),
-        Expr::Mul(a, b) => eval(a, env) * eval(b, env),
+        Expr::Add(a, b) => eval(a, vars) + eval(b, vars),
+        Expr::Sub(a, b) => eval(a, vars) - eval(b, vars),
+        Expr::Mul(a, b) => eval(a, vars) * eval(b, vars),
         Expr::Div(a, b) => {
-            let d = eval(b, env);
+            let d = eval(b, vars);
             assert!(d != 0, "division by zero");
-            eval(a, env) / d
+            eval(a, vars) / d
         }
         Expr::Mod(a, b) => {
-            let d = eval(b, env);
+            let d = eval(b, vars);
             assert!(d != 0, "MOD by zero");
-            eval(a, env).rem_euclid(d)
+            eval(a, vars).rem_euclid(d)
         }
-        Expr::Xor(a, b) => eval(a, env) ^ eval(b, env),
+        Expr::Xor(a, b) => eval(a, vars) ^ eval(b, vars),
     }
 }
 
-fn eval_cond(c: &Cond, env: &Env) -> bool {
+fn eval_cond(c: &Cond, vars: &Vars) -> bool {
     match c {
         Cond::Cmp(a, op, b) => {
-            let (x, y) = (eval(a, env), eval(b, env));
+            let (x, y) = (eval(a, vars), eval(b, vars));
             match op {
                 CmpOp::Eq => x == y,
                 CmpOp::Ne => x != y,
@@ -206,190 +294,326 @@ fn eval_cond(c: &Cond, env: &Env) -> bool {
             }
         }
         Cond::Divides(a, b) => {
-            let d = eval(a, env);
-            d != 0 && eval(b, env).rem_euclid(d) == 0
+            let d = eval(a, vars);
+            d != 0 && eval(b, vars).rem_euclid(d) == 0
         }
-        Cond::And(a, b) => eval_cond(a, env) && eval_cond(b, env),
-        Cond::Or(a, b) => eval_cond(a, env) || eval_cond(b, env),
-        Cond::Not(a) => !eval_cond(a, env),
+        Cond::And(a, b) => eval_cond(a, vars) && eval_cond(b, vars),
+        Cond::Or(a, b) => eval_cond(a, vars) || eval_cond(b, vars),
+        Cond::Not(a) => !eval_cond(a, vars),
     }
 }
 
-struct Exec<'c, 'p> {
-    ctx: &'c mut Ctx,
-    program: &'p Program,
-    /// Cached world communicator (avoids a clone per statement).
+/// One block being executed: its statements, the next one to run, and
+/// what happens when the block ends.
+struct Frame<'p> {
+    body: &'p [Stmt],
+    next: usize,
+    kind: FrameKind,
+}
+
+enum FrameKind {
+    /// The program, or an `IF` branch: ends once.
+    Once,
+    /// `FOR n REPETITIONS`, with this many passes left after the current.
+    Repeat(i64),
+    /// `FOR EACH`, up to this value; the variable is the innermost binding.
+    Each(i64),
+}
+
+/// What to do with the engine's replies when the task is resumed.
+enum Wake<'p> {
+    Continue,
+    /// Keep the communicator of ad-hoc set `i` (if a member).
+    AdhocSplit(usize),
+    /// Keep the communicator of a PARTITION group.
+    GroupSplit(&'p str),
+    Reset,
+    Log(&'p str),
+}
+
+/// One task of a program run, as a resumable state machine.
+struct Machine<'p> {
+    plan: &'p Plan<'p>,
+    me: usize,
     world: Comm,
-    explicit_receives: bool,
+    /// The next ad-hoc set to split for, before the program starts.
+    prepass: usize,
+    /// Communicator per ad-hoc set (`None` where this task is not a member).
+    adhoc: Vec<Option<Comm>>,
     /// group name → members (absolute task ids)
-    groups: HashMap<String, Vec<usize>>,
+    groups: HashMap<&'p str, Vec<usize>>,
     /// group name → live communicator (only for partition-created groups
-    /// this rank belongs to)
-    group_comms: HashMap<String, Comm>,
-    /// member set → communicator, for ad-hoc collective subjects
-    adhoc_comms: HashMap<Vec<usize>, Comm>,
+    /// this task belongs to)
+    group_comms: HashMap<&'p str, Comm>,
     outstanding: Vec<ReqHandle>,
     t0: SimTime,
-    logs: Arc<Mutex<Vec<LogEntry>>>,
-    n: usize,
+    logs: Vec<LogEntry>,
+    frames: Vec<Frame<'p>>,
+    vars: Vars<'p>,
+    wake: Wake<'p>,
 }
 
-impl<'c, 'p> Exec<'c, 'p> {
-    fn new(ctx: &'c mut Ctx, program: &'p Program, logs: Arc<Mutex<Vec<LogEntry>>>) -> Self {
-        let n = ctx.size();
-        let world = ctx.world();
-        Exec {
-            ctx,
-            program,
-            world,
-            explicit_receives: program.has_explicit_receives(),
+impl RankMachine for Machine<'_> {
+    fn resume(&mut self, ctx: &mut Ctx) -> bool {
+        let wake = std::mem::replace(&mut self.wake, Wake::Continue);
+        self.apply(wake, ctx);
+        while self.prepass < self.plan.sets.len() {
+            if self.split_adhoc(ctx) {
+                return true;
+            }
+        }
+        self.run(ctx)
+    }
+}
+
+impl<'p> Machine<'p> {
+    fn new(plan: &'p Plan<'p>, me: usize) -> Machine<'p> {
+        Machine {
+            plan,
+            me,
+            world: Comm {
+                rank: me,
+                ..plan.world.clone()
+            },
+            prepass: 0,
+            adhoc: vec![None; plan.sets.len()],
             groups: HashMap::new(),
             group_comms: HashMap::new(),
-            adhoc_comms: HashMap::new(),
             outstanding: Vec::new(),
             t0: SimTime::ZERO,
-            logs,
-            n,
+            logs: Vec::new(),
+            frames: vec![Frame {
+                body: &plan.program.stmts,
+                next: 0,
+                kind: FrameKind::Once,
+            }],
+            vars: Vars {
+                num_tasks: plan.n as i64,
+                stack: vec![("t", me as i64)],
+            },
+            wake: Wake::Continue,
         }
     }
 
-    fn run(&mut self) {
-        let env = Env {
-            parent: None,
-            binding: Some(("t", self.ctx.rank() as i64)),
-            num_tasks: self.n as i64,
-        };
-        self.prepass();
-        let stmts = &self.program.stmts;
-        self.block(stmts, &env);
+    /// Ship the deferred calls and finish with `wake` once their replies
+    /// are in. Returns whether the task must yield to the engine first.
+    fn park(&mut self, ctx: &mut Ctx, wake: Wake<'p>) -> bool {
+        if ctx.ship() {
+            self.wake = wake;
+            return true;
+        }
+        self.apply(wake, ctx);
+        false
     }
 
-    /// Create communicators for every ad-hoc collective subject up front.
+    fn apply(&mut self, wake: Wake<'p>, ctx: &mut Ctx) {
+        match wake {
+            Wake::Continue => {}
+            Wake::AdhocSplit(i) => {
+                let comm = ctx.take_split().expect("split settled");
+                if self.plan.sets[i].contains(&self.me) {
+                    self.adhoc[i] = Some(comm);
+                }
+            }
+            Wake::GroupSplit(name) => {
+                let comm = ctx.take_split().expect("split settled");
+                self.group_comms.insert(name, comm);
+            }
+            Wake::Reset => self.t0 = ctx.now(),
+            Wake::Log(label) => {
+                let elapsed = ctx.now().since(self.t0);
+                self.logs.push(LogEntry {
+                    task: self.me,
+                    label: label.to_string(),
+                    elapsed,
+                });
+            }
+        }
+    }
+
+    /// Create the communicator of the next ad-hoc collective subject.
     /// `MPI_Comm_split` is collective over the parent, so *all* tasks must
     /// participate — including those outside the subset. Generated
     /// benchmarks carry explicit PARTITION statements instead and never
     /// reach this path.
-    fn prepass(&mut self) {
-        let me = self.ctx.rank();
-        for members in collect_adhoc_sets(self.program, self.n) {
-            let (color, key) = match members.iter().position(|&m| m == me) {
-                Some(idx) => (1, idx as i64),
-                None => (0, me as i64),
+    fn split_adhoc(&mut self, ctx: &mut Ctx) -> bool {
+        let i = self.prepass;
+        self.prepass += 1;
+        let me = self.me;
+        let (color, key) = match self.plan.sets[i].iter().position(|&m| m == me) {
+            Some(idx) => (1, idx as i64),
+            None => (0, me as i64),
+        };
+        ctx.comm_split_deferred(&self.world, color, key);
+        self.park(ctx, Wake::AdhocSplit(i))
+    }
+
+    /// Run statements until the task must yield (`true`) or the program
+    /// ends (`false`).
+    fn run(&mut self, ctx: &mut Ctx) -> bool {
+        loop {
+            if ctx.deferred() >= MAX_DEFERRED && self.park(ctx, Wake::Continue) {
+                return true;
+            }
+            let Some(frame) = self.frames.last_mut() else {
+                return false;
             };
-            let comm = self.ctx.comm_split(&self.world, color, key);
-            if color == 1 {
-                self.adhoc_comms.insert(members, comm);
+            let body = frame.body;
+            let Some(stmt) = body.get(frame.next) else {
+                self.end_block();
+                continue;
+            };
+            frame.next += 1;
+            if self.stmt(stmt, ctx) {
+                return true;
             }
         }
     }
 
-    fn block(&mut self, stmts: &'p [Stmt], env: &Env) {
-        for s in stmts {
-            self.stmt(s, env);
+    /// The innermost block ran out of statements: repeat it or leave it.
+    fn end_block(&mut self) {
+        let frame = self.frames.last_mut().expect("a block ended");
+        match &mut frame.kind {
+            FrameKind::Repeat(left) if *left > 0 => {
+                *left -= 1;
+                frame.next = 0;
+            }
+            FrameKind::Each(to) => {
+                let var = &mut self.vars.stack.last_mut().expect("loop variable").1;
+                if *var < *to {
+                    *var += 1;
+                    frame.next = 0;
+                } else {
+                    self.vars.stack.pop();
+                    self.frames.pop();
+                }
+            }
+            _ => {
+                self.frames.pop();
+            }
         }
     }
 
+    fn enter(&mut self, body: &'p [Stmt], kind: FrameKind) {
+        self.frames.push(Frame {
+            body,
+            next: 0,
+            kind,
+        });
+    }
+
+    fn eval(&self, e: &Expr) -> i64 {
+        eval(e, &self.vars)
+    }
+
+    /// Evaluate a task id (taken modulo the number of tasks).
+    fn task(&self, e: &Expr) -> usize {
+        self.eval(e).rem_euclid(self.plan.n as i64) as usize
+    }
+
+    /// Bind `ts`'s task variable (if any) to `task`; returns the binding
+    /// depth to restore with [`Machine::unbind`].
+    fn bind(&mut self, ts: &'p TaskSet, task: usize) -> usize {
+        let depth = self.vars.stack.len();
+        if let Some(v) = &ts.var {
+            self.vars.stack.push((v, task as i64));
+        }
+        depth
+    }
+
+    fn unbind(&mut self, depth: usize) {
+        self.vars.stack.truncate(depth);
+    }
+
     /// Members of a task set (absolute ids, sorted). Callers that only need
-    /// a membership test should use [`Exec::is_member`], which does not
+    /// a membership test should use [`Machine::is_member`], which does not
     /// allocate.
-    fn members(&self, ts: &TaskSet, env: &Env) -> Vec<usize> {
+    fn members(&self, ts: &TaskSet) -> Vec<usize> {
         match &ts.sel {
-            TaskSel::All => (0..self.n).collect(),
-            TaskSel::Single(e) => vec![eval(e, env).rem_euclid(self.n as i64) as usize],
+            TaskSel::All => (0..self.plan.n).collect(),
+            TaskSel::Single(e) => vec![self.task(e)],
             TaskSel::Runs(runs) => expand_runs(runs),
-            TaskSel::Group(g) => self.groups.get(g).cloned().unwrap_or_default(),
+            TaskSel::Group(g) => self.groups.get(g.as_str()).cloned().unwrap_or_default(),
         }
     }
 
     /// Is `task` a member of `ts`? Allocation-free equivalent of
-    /// `self.members(ts, env).contains(&task)`.
-    fn is_member(&self, ts: &TaskSet, env: &Env, task: usize) -> bool {
+    /// `self.members(ts).contains(&task)`.
+    fn is_member(&self, ts: &TaskSet, task: usize) -> bool {
         match &ts.sel {
-            TaskSel::All => task < self.n,
-            TaskSel::Single(e) => eval(e, env).rem_euclid(self.n as i64) as usize == task,
-            TaskSel::Runs(runs) => expand_runs(runs).contains(&task),
-            TaskSel::Group(g) => self.groups.get(g).is_some_and(|m| m.contains(&task)),
+            TaskSel::All => task < self.plan.n,
+            TaskSel::Single(e) => self.task(e) == task,
+            TaskSel::Runs(runs) => runs.iter().any(|r| r.contains(task)),
+            TaskSel::Group(g) => self
+                .groups
+                .get(g.as_str())
+                .is_some_and(|m| m.contains(&task)),
         }
     }
 
-    /// Communicator for a member set. Ad-hoc subsets were pre-created in
-    /// [`Exec::prepass`]; PARTITION groups get theirs when the partition
-    /// executes.
-    fn comm_for(&mut self, ts: &TaskSet, env: &Env) -> Comm {
-        if let TaskSel::Group(g) = &ts.sel {
-            if let Some(c) = self.group_comms.get(g) {
-                return c.clone();
+    /// Communicator of collective statement `s` over `ts`. Constant
+    /// participant sets were resolved in the plan; PARTITION groups got
+    /// theirs when the partition executed.
+    fn comm_for(&self, s: &Stmt, ts: &TaskSet) -> Comm {
+        match &ts.sel {
+            TaskSel::All => return self.world.clone(),
+            TaskSel::Runs(_) => {
+                if let Some(&slot) = self.plan.slots.get(&stmt_key(s)) {
+                    if let Some(comm) = self.slot_comm(slot) {
+                        return comm;
+                    }
+                }
             }
+            TaskSel::Group(g) => {
+                if let Some(c) = self.group_comms.get(g.as_str()) {
+                    return c.clone();
+                }
+                if let Some(members) = self.groups.get(g.as_str()) {
+                    return self.comm_for_members(members);
+                }
+            }
+            TaskSel::Single(_) => {}
         }
-        let members = self.members(ts, env);
-        self.comm_for_members(&members)
+        self.comm_for_members(&self.members(ts))
     }
 
-    fn comm_for_members(&mut self, members: &[usize]) -> Comm {
-        if members.len() == self.n {
+    fn slot_comm(&self, slot: Slot) -> Option<Comm> {
+        match slot {
+            Slot::World => Some(self.world.clone()),
+            Slot::Set(i) => self.adhoc[i].clone(),
+        }
+    }
+
+    fn comm_for_members(&self, members: &[usize]) -> Comm {
+        if members.len() == self.plan.n {
             return self.world.clone();
         }
-        self.adhoc_comms.get(members).cloned().unwrap_or_else(|| {
-            panic!(
-                "no communicator for task set {members:?} (collective over an undeclared subset?)"
-            )
-        })
+        self.plan
+            .sets
+            .iter()
+            .position(|s| s == members)
+            .and_then(|i| self.adhoc[i].clone())
+            .unwrap_or_else(|| {
+                panic!(
+                    "no communicator for task set {members:?} (collective over an undeclared subset?)"
+                )
+            })
     }
 
-    fn stmt(&mut self, s: &'p Stmt, env: &Env) {
-        let me = self.ctx.rank();
+    /// Execute one statement; returns whether the task must yield.
+    fn stmt(&mut self, s: &'p Stmt, ctx: &mut Ctx) -> bool {
+        let me = self.me;
         match s {
             Stmt::Comment(_) => {}
             Stmt::DeclareGroup { name, tasks } => {
-                let members = self.members(tasks, env);
-                self.groups.insert(name.clone(), members);
+                let members = self.members(tasks);
+                self.groups.insert(name, members);
             }
-            Stmt::Partition { parent, groups } => {
-                let me_in_parent = match parent {
-                    None => true,
-                    Some(g) => self.groups.get(g).is_some_and(|m| m.contains(&me)),
-                };
-                let parent_comm = match parent {
-                    None => self.world.clone(),
-                    Some(g) => match self.group_comms.get(g) {
-                        Some(c) => c.clone(),
-                        None => {
-                            // this rank is outside the parent: record the
-                            // groups and skip the collective
-                            for (name, runs) in groups {
-                                self.groups.insert(name.clone(), expand_runs(runs));
-                            }
-                            return;
-                        }
-                    },
-                };
-                for (name, runs) in groups {
-                    self.groups.insert(name.clone(), expand_runs(runs));
-                }
-                if !me_in_parent {
-                    return;
-                }
-                // The color is the group's smallest task id: globally unique
-                // across disjoint groups, so sibling PARTITION statements
-                // that realise different groups of the *same* original
-                // `MPI_Comm_split` cooperate in one collective split.
-                let found = groups.iter().find_map(|(name, runs)| {
-                    let members = expand_runs(runs);
-                    members
-                        .iter()
-                        .position(|&m| m == me)
-                        .map(|idx| (members[0] as i64, idx as i64, name.clone()))
-                });
-                let Some((color, key, my_group)) = found else {
-                    return; // this parent rank joins a sibling PARTITION
-                };
-                let comm = self.ctx.comm_split(&parent_comm, color, key);
-                self.group_comms.insert(my_group, comm);
-            }
+            Stmt::Partition { parent, groups } => return self.partition(parent, groups, ctx),
             Stmt::For { count, body } => {
-                let count = eval(count, env).max(0);
-                for _ in 0..count {
-                    self.block(body, env);
+                let count = self.eval(count).max(0);
+                if count > 0 && !body.is_empty() {
+                    self.enter(body, FrameKind::Repeat(count - 1));
                 }
             }
             Stmt::ForEach {
@@ -398,17 +622,20 @@ impl<'c, 'p> Exec<'c, 'p> {
                 to,
                 body,
             } => {
-                let (from, to) = (eval(from, env), eval(to, env));
-                for i in from..=to {
-                    let env = env.bind(var, i);
-                    self.block(body, &env);
+                let (from, to) = (self.eval(from), self.eval(to));
+                if from <= to && !body.is_empty() {
+                    self.vars.stack.push((var, from));
+                    self.enter(body, FrameKind::Each(to));
                 }
             }
             Stmt::If { cond, then_, else_ } => {
-                if eval_cond(cond, env) {
-                    self.block(then_, env);
+                let branch = if eval_cond(cond, &self.vars) {
+                    then_
                 } else {
-                    self.block(else_, env);
+                    else_
+                };
+                if !branch.is_empty() {
+                    self.enter(branch, FrameKind::Once);
                 }
             }
             Stmt::Compute {
@@ -416,10 +643,11 @@ impl<'c, 'p> Exec<'c, 'p> {
                 amount,
                 unit,
             } => {
-                if self.is_member(tasks, env, me) {
-                    let env = bind_task_var(tasks, env, me);
-                    let ns = unit.nanos(eval(amount, &env));
-                    self.ctx.compute(SimDuration::from_nanos(ns));
+                if self.is_member(tasks, me) {
+                    let depth = self.bind(tasks, me);
+                    let ns = unit.nanos(self.eval(amount));
+                    self.unbind(depth);
+                    ctx.compute(SimDuration::from_nanos(ns));
                 }
             }
             Stmt::Send {
@@ -429,43 +657,20 @@ impl<'c, 'p> Exec<'c, 'p> {
                 tag,
                 is_async,
             } => {
-                if self.is_member(src, env, me) {
-                    let env = bind_task_var(src, env, me);
-                    let to = eval(dst, &env).rem_euclid(self.n as i64) as usize;
-                    let nbytes = eval(bytes, &env).max(0) as u64;
+                if self.is_member(src, me) {
+                    let depth = self.bind(src, me);
+                    let to = self.task(dst);
+                    let nbytes = self.eval(bytes).max(0) as u64;
+                    self.unbind(depth);
                     if *is_async {
-                        let h = self.ctx.isend(to, *tag, nbytes, &self.world);
+                        let h = ctx.isend(to, *tag, nbytes, &self.world);
                         self.outstanding.push(h);
                     } else {
-                        self.ctx.send(to, *tag, nbytes, &self.world);
+                        ctx.send(to, *tag, nbytes, &self.world);
                     }
                 }
-                if !self.explicit_receives {
-                    // auto-post matching receives on destinations
-                    let senders = self.members(src, env);
-                    for &s in &senders {
-                        let env = bind_task_var(src, env, s);
-                        let to = eval(dst, &env).rem_euclid(self.n as i64) as usize;
-                        if to == me {
-                            let nbytes = eval(bytes, &env).max(0) as u64;
-                            if *is_async {
-                                let h = self.ctx.irecv(
-                                    Src::Rank(s),
-                                    TagSel::Is(*tag),
-                                    nbytes,
-                                    &self.world,
-                                );
-                                self.outstanding.push(h);
-                            } else {
-                                let _ = self.ctx.recv(
-                                    Src::Rank(s),
-                                    TagSel::Is(*tag),
-                                    nbytes,
-                                    &self.world,
-                                );
-                            }
-                        }
-                    }
+                if !self.plan.explicit_receives {
+                    self.auto_receive(src, dst, bytes, *tag, *is_async, ctx);
                 }
             }
             Stmt::Receive {
@@ -475,117 +680,191 @@ impl<'c, 'p> Exec<'c, 'p> {
                 tag,
                 is_async,
             } => {
-                if self.is_member(dst, env, me) {
-                    let env = bind_task_var(dst, env, me);
+                if self.is_member(dst, me) {
+                    let depth = self.bind(dst, me);
                     let from = match src {
                         None => Src::Any,
-                        Some(e) => Src::Rank(eval(e, &env).rem_euclid(self.n as i64) as usize),
+                        Some(e) => Src::Rank(self.task(e)),
                     };
-                    let nbytes = eval(bytes, &env).max(0) as u64;
+                    let nbytes = self.eval(bytes).max(0) as u64;
+                    self.unbind(depth);
                     if *is_async {
-                        let h = self.ctx.irecv(from, TagSel::Is(*tag), nbytes, &self.world);
+                        let h = ctx.irecv(from, TagSel::Is(*tag), nbytes, &self.world);
                         self.outstanding.push(h);
                     } else {
-                        let _ = self.ctx.recv(from, TagSel::Is(*tag), nbytes, &self.world);
+                        ctx.recv_deferred(from, TagSel::Is(*tag), nbytes, &self.world);
                     }
                 }
             }
             Stmt::Await { tasks } => {
-                if !self.outstanding.is_empty() && self.is_member(tasks, env, me) {
-                    let hs = std::mem::take(&mut self.outstanding);
-                    self.ctx.waitall(&hs);
+                if !self.outstanding.is_empty() && self.is_member(tasks, me) {
+                    ctx.waitall_deferred(&self.outstanding);
+                    self.outstanding.clear();
                 }
             }
             Stmt::Sync { tasks } => {
-                if self.is_member(tasks, env, me) {
-                    let comm = self.comm_for(tasks, env);
-                    self.ctx.barrier(&comm);
+                if self.is_member(tasks, me) {
+                    ctx.barrier(&self.comm_for(s, tasks));
                 }
             }
-            Stmt::Multicast { root, tasks, bytes } => {
-                match root {
-                    Some(root_expr) => {
-                        let root = eval(root_expr, env).rem_euclid(self.n as i64) as usize;
-                        let members = self.members(tasks, env);
-                        let participates = members.contains(&me) || root == me;
-                        if participates {
-                            // participants = tasks ∪ {root}
-                            let env = bind_task_var(tasks, env, me);
-                            let nbytes = eval(bytes, &env).max(0) as u64;
-                            let comm = if members.contains(&root) {
-                                self.comm_for(tasks, &env)
-                            } else {
-                                let mut all = members;
-                                all.push(root);
-                                all.sort_unstable();
-                                self.comm_for_members(&all)
-                            };
-                            let root_rel =
-                                comm.relative_of(root).expect("root in participant comm");
-                            self.ctx.bcast(root_rel, nbytes, &comm);
-                        }
-                    }
-                    None => {
-                        if self.is_member(tasks, env, me) {
-                            let env = bind_task_var(tasks, env, me);
-                            let nbytes = eval(bytes, &env).max(0) as u64;
-                            let comm = self.comm_for(tasks, &env);
-                            self.ctx.alltoall(nbytes, &comm);
-                        }
+            Stmt::Multicast { root, tasks, bytes } => match root {
+                Some(root) => self.bcast(s, root, tasks, bytes, ctx),
+                None => {
+                    if self.is_member(tasks, me) {
+                        let depth = self.bind(tasks, me);
+                        let nbytes = self.eval(bytes).max(0) as u64;
+                        let comm = self.comm_for(s, tasks);
+                        self.unbind(depth);
+                        ctx.alltoall(nbytes, &comm);
                     }
                 }
-            }
+            },
             Stmt::Reduce { tasks, to, bytes } => {
-                if self.is_member(tasks, env, me) {
-                    let env = bind_task_var(tasks, env, me);
-                    let nbytes = eval(bytes, &env).max(0) as u64;
-                    let comm = self.comm_for(tasks, &env);
-                    match to {
-                        ReduceTo::All => self.ctx.allreduce(nbytes, &comm),
-                        ReduceTo::Task(root_expr) => {
-                            let root = eval(root_expr, &env).rem_euclid(self.n as i64) as usize;
+                if self.is_member(tasks, me) {
+                    let depth = self.bind(tasks, me);
+                    let nbytes = self.eval(bytes).max(0) as u64;
+                    let comm = self.comm_for(s, tasks);
+                    let root = match to {
+                        ReduceTo::All => None,
+                        ReduceTo::Task(root) => Some(self.task(root)),
+                    };
+                    self.unbind(depth);
+                    match root {
+                        None => ctx.allreduce(nbytes, &comm),
+                        Some(root) => {
                             let root_rel = comm
                                 .relative_of(root)
                                 .expect("REDUCE target inside participant set");
-                            self.ctx.reduce(root_rel, nbytes, &comm);
+                            ctx.reduce(root_rel, nbytes, &comm);
                         }
                     }
                 }
             }
-            Stmt::ResetCounters => {
-                self.t0 = self.ctx.now();
+            Stmt::ResetCounters => return self.park(ctx, Wake::Reset),
+            Stmt::Log { label } => return self.park(ctx, Wake::Log(label)),
+        }
+        false
+    }
+
+    fn partition(
+        &mut self,
+        parent: &'p Option<String>,
+        groups: &'p [(String, Vec<TaskRun>)],
+        ctx: &mut Ctx,
+    ) -> bool {
+        let me = self.me;
+        let me_in_parent = match parent {
+            None => true,
+            Some(g) => self.groups.get(g.as_str()).is_some_and(|m| m.contains(&me)),
+        };
+        let parent_comm = match parent {
+            None => Some(self.world.clone()),
+            Some(g) => self.group_comms.get(g.as_str()).cloned(),
+        };
+        // The color is the group's smallest task id: globally unique
+        // across disjoint groups, so sibling PARTITION statements that
+        // realise different groups of the *same* original
+        // `MPI_Comm_split` cooperate in one collective split.
+        let mut found = None;
+        for (name, runs) in groups {
+            let members = expand_runs(runs);
+            if found.is_none() {
+                found = members
+                    .iter()
+                    .position(|&m| m == me)
+                    .map(|idx| (members[0] as i64, idx as i64, name.as_str()));
             }
-            Stmt::Log { label } => {
-                let elapsed = self.ctx.now().since(self.t0);
-                self.logs
-                    .lock()
-                    .expect("log mutex poisoned")
-                    .push(LogEntry {
-                        task: me,
-                        label: label.clone(),
-                        elapsed,
-                    });
+            self.groups.insert(name, members);
+        }
+        // Outside the parent (no communicator for it): only record the
+        // groups and skip the collective.
+        let Some(parent_comm) = parent_comm.filter(|_| me_in_parent) else {
+            return false;
+        };
+        let Some((color, key, my_group)) = found else {
+            return false; // this parent task joins a sibling PARTITION
+        };
+        ctx.comm_split_deferred(&parent_comm, color, key);
+        self.park(ctx, Wake::GroupSplit(my_group))
+    }
+
+    /// `TASK root MULTICASTS … TO tasks`: `MPI_Bcast` over tasks ∪ {root}.
+    fn bcast(&mut self, s: &Stmt, root: &Expr, tasks: &'p TaskSet, bytes: &Expr, ctx: &mut Ctx) {
+        let me = self.me;
+        let root = self.task(root);
+        if !(root == me || self.is_member(tasks, me)) {
+            return;
+        }
+        let depth = self.bind(tasks, me);
+        let nbytes = self.eval(bytes).max(0) as u64;
+        let resolved = match &tasks.sel {
+            TaskSel::Runs(_) => self
+                .plan
+                .slots
+                .get(&stmt_key(s))
+                .and_then(|&slot| self.slot_comm(slot)),
+            _ => None,
+        };
+        let comm = resolved.unwrap_or_else(|| {
+            let mut members = self.members(tasks);
+            if members.contains(&root) {
+                self.comm_for(s, tasks)
+            } else {
+                members.push(root);
+                members.sort_unstable();
+                self.comm_for_members(&members)
+            }
+        });
+        self.unbind(depth);
+        let root_rel = comm.relative_of(root).expect("root in participant comm");
+        ctx.bcast(root_rel, nbytes, &comm);
+    }
+
+    /// Without explicit RECEIVE statements, a SEND posts the matching
+    /// receives on its destinations.
+    fn auto_receive(
+        &mut self,
+        src: &'p TaskSet,
+        dst: &Expr,
+        bytes: &Expr,
+        tag: i32,
+        is_async: bool,
+        ctx: &mut Ctx,
+    ) {
+        for s in self.members(src) {
+            let depth = self.bind(src, s);
+            let to = self.task(dst);
+            let nbytes = self.eval(bytes).max(0) as u64;
+            self.unbind(depth);
+            if to != self.me {
+                continue;
+            }
+            if is_async {
+                let h = ctx.irecv(Src::Rank(s), TagSel::Is(tag), nbytes, &self.world);
+                self.outstanding.push(h);
+            } else {
+                ctx.recv_deferred(Src::Rank(s), TagSel::Is(tag), nbytes, &self.world);
             }
         }
     }
 }
 
-fn bind_task_var<'b>(ts: &'b TaskSet, env: &'b Env<'b>, task: usize) -> Env<'b> {
-    match &ts.var {
-        Some(v) => env.bind(v, task as i64),
-        None => *env,
-    }
-}
+/// A collective statement (by address) and its constant participants.
+type Subject = (usize, Vec<usize>);
 
 /// Scan a program for collective subjects over ad-hoc (non-ALL,
 /// non-PARTITION-group) task sets, in first-occurrence order. These need
-/// world-collective communicator creation before execution starts.
-fn collect_adhoc_sets(program: &Program, n: usize) -> Vec<Vec<usize>> {
+/// world-collective communicator creation before execution starts. Also
+/// returns, per collective statement with a constant participant set (an
+/// explicit run set, with a constant root for a rooted multicast), its
+/// participants as the statement computes them at run time.
+fn collect_adhoc_sets(program: &Program, n: usize) -> (Vec<Vec<usize>>, Vec<Subject>) {
     struct Scan {
         n: usize,
         /// group name → (members, has a partition-created communicator)
         groups: BTreeMap<String, (Vec<usize>, bool)>,
         sets: Vec<Vec<usize>>,
+        subjects: Vec<Subject>,
     }
     impl Scan {
         fn add_set(&mut self, members: Vec<usize>) {
@@ -648,9 +927,27 @@ fn collect_adhoc_sets(program: &Program, n: usize) -> Vec<Vec<usize>> {
                     self.block(else_);
                 }
                 Stmt::Sync { tasks } | Stmt::Reduce { tasks, .. } => {
+                    if let TaskSel::Runs(runs) = &tasks.sel {
+                        self.subjects.push((stmt_key(s), expand_runs(runs)));
+                    }
                     self.collective_subject(tasks);
                 }
                 Stmt::Multicast { root, tasks, .. } => {
+                    if let TaskSel::Runs(runs) = &tasks.sel {
+                        let mut members = expand_runs(runs);
+                        match root {
+                            None => self.subjects.push((stmt_key(s), members)),
+                            Some(r) if r.is_const() => {
+                                let root = eval_const(r).rem_euclid(self.n as i64) as usize;
+                                if !members.contains(&root) {
+                                    members.push(root);
+                                    members.sort_unstable();
+                                }
+                                self.subjects.push((stmt_key(s), members));
+                            }
+                            Some(_) => {}
+                        }
+                    }
                     let members = match &tasks.sel {
                         TaskSel::All => None,
                         TaskSel::Runs(runs) => Some(expand_runs(runs)),
@@ -681,7 +978,8 @@ fn collect_adhoc_sets(program: &Program, n: usize) -> Vec<Vec<usize>> {
         n,
         groups: BTreeMap::new(),
         sets: Vec::new(),
+        subjects: Vec::new(),
     };
     scan.block(&program.stmts);
-    scan.sets
+    (scan.sets, scan.subjects)
 }

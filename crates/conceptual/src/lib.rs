@@ -45,6 +45,6 @@ pub mod printer;
 pub mod transform;
 
 pub use ast::{Cond, Expr, Program, ReduceTo, Stmt, TaskRun, TaskSel, TaskSet, TimeUnit};
-pub use interp::{run_program, run_program_on, LogEntry, RunError, RunOutcome};
+pub use interp::{run_program, run_program_hooked, run_program_on, LogEntry, RunError, RunOutcome};
 pub use parser::parse;
 pub use printer::print;

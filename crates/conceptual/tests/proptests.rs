@@ -210,6 +210,25 @@ proptest! {
         prop_assert_eq!(parsed, expect, "text was:\n{}", text);
     }
 
+    /// Run membership by arithmetic (what the interpreter tests on every
+    /// statement) agrees with expanding the runs, for any start, stride
+    /// (0 included) and count (0 included).
+    #[test]
+    fn run_membership_matches_expansion(
+        runs in proptest::collection::vec(
+            (0usize..24, 0usize..5, 0usize..7).prop_map(|(start, stride, count)| TaskRun {
+                start,
+                stride,
+                count,
+            }),
+            0..4,
+        ),
+        task in 0usize..48,
+    ) {
+        let expanded = conceptual::analyze::expand_runs(&runs);
+        prop_assert_eq!(runs.iter().any(|r| r.contains(task)), expanded.contains(&task));
+    }
+
     /// The printer never emits unparseable text, even for programs that
     /// would fail validation (parsing and validation are separate stages).
     #[test]

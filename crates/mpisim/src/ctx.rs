@@ -14,8 +14,10 @@ use crate::error::SimError;
 use crate::hooks::{Event, EventKind, Hook};
 use crate::time::{SimDuration, SimTime};
 use crate::types::{CallSite, CollKind, Fnv1a, MsgInfo, Rank, ReqHandle, Src, Tag, TagSel};
+use std::collections::VecDeque;
 use std::panic::Location;
 use std::sync::mpsc::{Receiver, Sender};
+use std::sync::Arc;
 
 /// Panic payload used for quiet teardown when the engine aborts a run; the
 /// panic hook installed by [`crate::world::World`] suppresses its output.
@@ -38,13 +40,27 @@ struct PendingEv {
     span: usize,
 }
 
+/// Where a rank's requests go and where its replies come from.
+enum Port {
+    /// A rank thread: requests over the shared channel, replies over its own.
+    Thread {
+        tx: Sender<Request>,
+        rx: Receiver<Reply>,
+    },
+    /// A rank the engine drives inline ([`crate::driver`]): the driver
+    /// collects the shipped op from `out` and fills `mailbox` with replies.
+    Inline {
+        out: Option<Op>,
+        mailbox: VecDeque<Reply>,
+    },
+}
+
 /// Per-rank execution context.
 pub struct Ctx {
     rank: Rank,
     n: usize,
     world: Comm,
-    req_tx: Sender<Request>,
-    reply_rx: Receiver<Reply>,
+    port: Port,
     clock: SimTime,
     hook: Option<Box<dyn Hook>>,
     regions: Vec<&'static str>,
@@ -55,6 +71,11 @@ pub struct Ctx {
     batching: bool,
     /// Deferred ops (batching mode) with their pending hook events.
     queue: Vec<(Op, Option<PendingEv>)>,
+    /// Hook events of shipped ops whose replies have not been drained yet,
+    /// one entry per reply still to come.
+    inflight: Vec<Option<PendingEv>>,
+    /// The communicator the last drained `MPI_Comm_split` reply created.
+    split: Option<Comm>,
     /// Mirror of the engine's per-rank request-handle counter (last handle
     /// handed out): the engine allocates handles sequentially per rank, so
     /// deferred isend/irecv handles can be predicted without a round trip.
@@ -66,25 +87,41 @@ pub struct Ctx {
 }
 
 impl Ctx {
-    pub(crate) fn new(
-        rank: Rank,
-        n: usize,
-        req_tx: Sender<Request>,
-        reply_rx: Receiver<Reply>,
+    /// The context of a rank thread; `world` is the rank's view of the
+    /// world communicator.
+    pub(crate) fn threaded(
+        world: Comm,
+        tx: Sender<Request>,
+        rx: Receiver<Reply>,
         hook: Option<Box<dyn Hook>>,
         batching: bool,
     ) -> Ctx {
+        Ctx::new(world, Port::Thread { tx, rx }, hook, batching)
+    }
+
+    /// The context of a rank the engine drives inline. Inline ranks cannot
+    /// block, so they always batch.
+    pub(crate) fn inline(world: Comm, hook: Option<Box<dyn Hook>>) -> Ctx {
+        let port = Port::Inline {
+            out: None,
+            mailbox: VecDeque::new(),
+        };
+        Ctx::new(world, port, hook, true)
+    }
+
+    fn new(world: Comm, port: Port, hook: Option<Box<dyn Hook>>, batching: bool) -> Ctx {
         Ctx {
-            rank,
-            n,
-            world: Comm::world(rank, n),
-            req_tx,
-            reply_rx,
+            rank: world.rank,
+            n: world.size,
+            world,
+            port,
             clock: SimTime::ZERO,
             hook,
             regions: Vec::new(),
             batching,
             queue: Vec::new(),
+            inflight: Vec::new(),
+            split: None,
             next_handle: 0,
             confirmed_handle: 0,
             drain_t: Vec::new(),
@@ -240,19 +277,8 @@ impl Ctx {
             blocking: true,
         };
         if self.batching {
-            let h = self.predict_handle();
-            self.queue.push((
-                Op::IRecv {
-                    from: abs_from,
-                    tag,
-                    bytes,
-                    comm: comm.id,
-                },
-                None,
-            ));
-            let ev = self.mk_ev(kind, site, 1);
-            let (reply, _) = self.submit(Op::Wait { reqs: vec![h.0] }, ev);
-            match reply {
+            self.defer_recv(abs_from, tag, bytes, comm.id, kind, site);
+            match self.flush().expect("queue is non-empty") {
                 Reply::Infos { infos, .. } => {
                     return infos[0].expect("receive completes with a status")
                 }
@@ -272,7 +298,7 @@ impl Ctx {
         let site = caller();
         if self.batching {
             let ev = self.mk_ev(EventKind::Wait { count: 1 }, site, 0);
-            let (reply, _) = self.submit(Op::Wait { reqs: vec![h.0] }, ev);
+            let reply = self.submit(Op::Wait { reqs: vec![h.0] }, ev);
             match reply {
                 Reply::Infos { infos, .. } => return infos[0],
                 other => self.protocol_error("wait", &other),
@@ -292,7 +318,7 @@ impl Ctx {
         if self.batching {
             let ev = self.mk_ev(EventKind::Wait { count: hs.len() }, site, 0);
             let reqs = hs.iter().map(|h| h.0).collect();
-            let (reply, _) = self.submit(Op::Wait { reqs }, ev);
+            let reply = self.submit(Op::Wait { reqs }, ev);
             match reply {
                 Reply::Infos { infos, .. } => return infos,
                 other => self.protocol_error("waitall", &other),
@@ -413,32 +439,14 @@ impl Ctx {
     #[track_caller]
     pub fn comm_split(&mut self, comm: &Comm, color: i64, key: i64) -> Comm {
         let site = caller();
-        let op = Op::Coll {
-            kind: CollKind::CommSplit,
-            comm: comm.id,
-            root: None,
-            bytes: 0,
-            split: Some((color, key)),
-        };
+        let op = split_op(comm, color, key);
         if self.batching {
-            // The event needs the reply's member list, so it cannot be
-            // deferred; `submit` hands back the op's own enter time.
-            let (reply, t_enter) = self.submit(op, None);
-            match reply {
-                Reply::CommCreated { comm: new, .. } => {
-                    self.emit(
-                        EventKind::CommSplit {
-                            parent: comm.id,
-                            result: new.id,
-                            members: new.members.clone(),
-                        },
-                        site,
-                        t_enter,
-                    );
-                    return new;
-                }
-                other => self.protocol_error("comm_split", &other),
-            }
+            self.defer(op, split_event(comm), site, 0);
+            let _ = self.flush();
+            return self
+                .split
+                .take()
+                .expect("comm_split replies with a communicator");
         }
         let t_enter = self.clock;
         let reply = self.call(op);
@@ -472,7 +480,116 @@ impl Ctx {
         r
     }
 
+    // -- resumable rank programs ------------------------------------------------
+    //
+    // A `RankMachine` (see `crate::driver`) runs on the engine's thread and
+    // must never block. It queues ops, ships them with `ship` once it needs
+    // their replies, and returns to the engine; it finds the replies
+    // settled when it is resumed. The `_deferred` calls below are blocking
+    // calls whose result the caller reads later or not at all, so they
+    // queue like a blocking `send`. On a rank without batching they block
+    // at once.
+
+    /// [`Ctx::recv`] whose status the caller never reads.
+    #[track_caller]
+    pub fn recv_deferred(&mut self, from: Src, tag: TagSel, bytes: u64, comm: &Comm) {
+        if !self.batching {
+            self.recv(from, tag, bytes, comm);
+            return;
+        }
+        let site = caller();
+        let abs_from = self.translate_src(from, comm);
+        let kind = EventKind::Recv {
+            from: abs_from,
+            tag,
+            bytes,
+            comm: comm.id,
+            blocking: true,
+        };
+        self.defer_recv(abs_from, tag, bytes, comm.id, kind, site);
+    }
+
+    /// [`Ctx::waitall`] whose statuses the caller never reads.
+    #[track_caller]
+    pub fn waitall_deferred(&mut self, hs: &[ReqHandle]) {
+        if !self.batching {
+            self.waitall(hs);
+            return;
+        }
+        let reqs = hs.iter().map(|h| h.0).collect();
+        let kind = EventKind::Wait { count: hs.len() };
+        self.defer(Op::Wait { reqs }, kind, caller(), 0);
+    }
+
+    /// [`Ctx::comm_split`] whose communicator the caller collects with
+    /// [`Ctx::take_split`] once the split has settled.
+    #[track_caller]
+    pub fn comm_split_deferred(&mut self, comm: &Comm, color: i64, key: i64) {
+        if !self.batching {
+            self.split = Some(self.comm_split(comm, color, key));
+            return;
+        }
+        let op = split_op(comm, color, key);
+        self.defer(op, split_event(comm), caller(), 0);
+    }
+
+    /// Ship every deferred op to the engine in one request, without waiting
+    /// for the replies. Returns `false` when nothing was deferred;
+    /// otherwise the caller must call [`Ctx::settle`] before reading the
+    /// clock or a split communicator.
+    pub fn ship(&mut self) -> bool {
+        if self.queue.is_empty() {
+            return false;
+        }
+        if !self.ship_queue(false) {
+            self.abort(None);
+        }
+        true
+    }
+
+    /// Receive the replies of everything shipped: the clock moves and the
+    /// deferred hook events fire. Blocks on a rank thread; an inline rank
+    /// is resumed only once its replies have arrived.
+    pub fn settle(&mut self) {
+        if !self.inflight.is_empty() {
+            self.drain(false);
+        }
+    }
+
+    /// The communicator created by the last settled
+    /// [`Ctx::comm_split_deferred`].
+    pub fn take_split(&mut self) -> Option<Comm> {
+        self.split.take()
+    }
+
+    /// How many ops are deferred and not yet shipped.
+    pub fn deferred(&self) -> usize {
+        self.queue.len()
+    }
+
     // -- internals ----------------------------------------------------------------
+
+    /// Queue a blocking receive: an irecv entry, then a wait entry carrying
+    /// the `MPI_Recv` event anchored to the irecv's enter time.
+    fn defer_recv(
+        &mut self,
+        from: Src,
+        tag: TagSel,
+        bytes: u64,
+        comm: CommId,
+        kind: EventKind,
+        site: CallSite,
+    ) {
+        let h = self.predict_handle();
+        let irecv = Op::IRecv {
+            from,
+            tag,
+            bytes,
+            comm,
+        };
+        self.queue.push((irecv, None));
+        self.defer(Op::Wait { reqs: vec![h.0] }, kind, site, 1);
+    }
 
     fn translate_src(&self, from: Src, comm: &Comm) -> Src {
         match from {
@@ -584,58 +701,78 @@ impl Ctx {
         })
     }
 
-    /// Queue `last` behind any deferred ops and ship the whole batch in one
-    /// channel handoff. Returns the final reply and the virtual time at
-    /// which the final op began (its would-be `t_enter`).
-    fn submit(&mut self, last: Op, ev: Option<PendingEv>) -> (Reply, SimTime) {
+    /// Queue `last` behind any deferred ops, ship the whole batch in one
+    /// handoff, and return the final reply.
+    fn submit(&mut self, last: Op, ev: Option<PendingEv>) -> Reply {
         self.queue.push((last, ev));
         self.flush().expect("queue is non-empty")
     }
 
-    /// Ship the deferred queue, if any, and drain one reply per op —
-    /// updating the clock and emitting deferred hook events with exactly
-    /// the clocks an unbatched run would have observed.
-    fn flush(&mut self) -> Option<(Reply, SimTime)> {
+    /// Ship the deferred queue, if any, and drain one reply per op.
+    fn flush(&mut self) -> Option<Reply> {
         if self.queue.is_empty() {
             return None;
         }
-        let mut ops = Vec::with_capacity(self.queue.len());
-        let mut evs = Vec::with_capacity(self.queue.len());
+        if !self.ship_queue(false) {
+            self.abort(None);
+        }
+        self.drain(false)
+    }
+
+    /// Move the deferred queue into one request (a trailing `Op::Exited`
+    /// rides along if asked for; it gets no reply) and send it. Returns
+    /// whether the request reached the engine.
+    fn ship_queue(&mut self, trailing_exit: bool) -> bool {
+        let mut ops = Vec::with_capacity(self.queue.len() + trailing_exit as usize);
+        self.inflight.reserve(self.queue.len());
         for (op, ev) in self.queue.drain(..) {
             ops.push(op);
-            evs.push(ev);
+            self.inflight.push(ev);
+        }
+        if trailing_exit {
+            ops.push(Op::Exited);
         }
         let op = if ops.len() == 1 {
             ops.pop().expect("one op")
         } else {
             Op::Batch(ops)
         };
-        if self
-            .req_tx
-            .send(Request {
-                rank: self.rank,
-                op,
-            })
-            .is_err()
-        {
-            std::panic::panic_any(SimAbort(None));
-        }
+        self.post(op)
+    }
+
+    /// Receive one reply per in-flight op, updating the clock and emitting
+    /// the deferred hook events with exactly the clocks an unbatched run
+    /// would have observed. Returns the last reply. In `teardown` mode a
+    /// `Fatal` reply or a closed channel ends the drain quietly; otherwise
+    /// it unwinds the rank with [`SimAbort`].
+    fn drain(&mut self, teardown: bool) -> Option<Reply> {
+        let evs = std::mem::take(&mut self.inflight);
         let mut t_befores = std::mem::take(&mut self.drain_t);
         t_befores.clear();
         let mut out = None;
         for ev in evs {
             t_befores.push(self.clock);
-            let reply = match self.reply_rx.recv() {
-                Ok(Reply::Fatal(err)) => std::panic::panic_any(SimAbort(Some(err))),
-                Err(_) => std::panic::panic_any(SimAbort(None)),
+            let reply = match self.next_reply() {
                 Ok(reply) => reply,
+                Err(_) if teardown => break,
+                Err(err) => self.abort(err),
             };
             self.apply_clock(&reply);
             if let Some(ev) = ev {
                 let t_enter = t_befores[t_befores.len() - 1 - ev.span];
-                self.emit_raw(ev.kind, ev.callsite, ev.stack_sig, t_enter);
+                let kind = match (ev.kind, &reply) {
+                    (EventKind::CommSplit { parent, .. }, Reply::CommCreated { comm, .. }) => {
+                        EventKind::CommSplit {
+                            parent,
+                            result: comm.id,
+                            members: comm.members.clone(),
+                        }
+                    }
+                    (kind, _) => kind,
+                };
+                self.emit_raw(kind, ev.callsite, ev.stack_sig, t_enter);
             }
-            out = Some((reply, *t_befores.last().expect("pushed above")));
+            out = Some(reply);
         }
         self.drain_t = t_befores;
         out
@@ -654,26 +791,61 @@ impl Ctx {
                 );
             }
             Reply::Infos { clock, .. } => self.clock = *clock,
-            Reply::CommCreated { clock, .. } => self.clock = *clock,
+            Reply::CommCreated { clock, comm } => {
+                self.clock = *clock;
+                self.split = Some(comm.clone());
+            }
             Reply::Fatal(_) => {}
         }
     }
 
-    fn call(&mut self, op: Op) -> Reply {
-        if self
-            .req_tx
-            .send(Request {
-                rank: self.rank,
-                op,
-            })
-            .is_err()
-        {
-            std::panic::panic_any(SimAbort(None));
+    /// Send one request to the engine. Returns whether it got there.
+    fn post(&mut self, op: Op) -> bool {
+        match &mut self.port {
+            Port::Thread { tx, .. } => tx
+                .send(Request {
+                    rank: self.rank,
+                    op,
+                })
+                .is_ok(),
+            Port::Inline { out, .. } => {
+                debug_assert!(out.is_none(), "rank shipped twice without a reply");
+                *out = Some(op);
+                true
+            }
         }
-        match self.reply_rx.recv() {
-            Ok(Reply::Fatal(err)) => std::panic::panic_any(SimAbort(Some(err))),
-            Err(_) => std::panic::panic_any(SimAbort(None)),
+    }
+
+    /// The next reply, or why there is none: the engine's fatal error, or
+    /// `None` when the engine is gone.
+    fn next_reply(&mut self) -> Result<Reply, Option<SimError>> {
+        let reply = match &mut self.port {
+            Port::Thread { rx, .. } => rx.recv().map_err(|_| None)?,
+            Port::Inline { mailbox, .. } => mailbox.pop_front().ok_or(None)?,
+        };
+        match reply {
+            Reply::Fatal(err) => Err(Some(err)),
+            reply => Ok(reply),
+        }
+    }
+
+    /// The engine ended the run (or vanished): unwind the rank thread
+    /// quietly. An inline rank is only resumed once its replies are all in
+    /// its mailbox, so reaching this there is a bug in the rank machine.
+    fn abort(&self, err: Option<SimError>) -> ! {
+        if let Port::Inline { .. } = self.port {
+            panic!("inline rank {} blocked outside a yield point", self.rank);
+        }
+        std::panic::panic_any(SimAbort(err))
+    }
+
+    fn call(&mut self, op: Op) -> Reply {
+        if !self.post(op) {
+            self.abort(None);
+        }
+        match self.next_reply() {
             Ok(reply) => reply,
+            Err(err) => self.abort(err),
         }
     }
 
@@ -718,75 +890,86 @@ impl Ctx {
         hook.on_event(&event);
     }
 
-    /// Teardown-mode flush for the exit paths: ship the deferred queue
-    /// (optionally with a trailing `Op::Exited` riding the same batch) and
-    /// drain the deferred ops' replies without ever panicking — a `Fatal`
-    /// reply or a closed channel just ends the drain. This runs outside the
-    /// body's `catch_unwind`, so it must not unwind; hook events for the
-    /// deferred ops are still emitted so partial traces stay complete.
-    fn flush_teardown(&mut self, trailing_exit: bool) {
-        let mut ops = Vec::with_capacity(self.queue.len() + 1);
-        let mut evs = Vec::with_capacity(self.queue.len());
-        for (op, ev) in self.queue.drain(..) {
-            ops.push(op);
-            evs.push(ev);
-        }
-        if trailing_exit {
-            ops.push(Op::Exited);
-        }
-        if self
-            .req_tx
-            .send(Request {
-                rank: self.rank,
-                op: Op::Batch(ops),
-            })
-            .is_err()
-        {
-            return;
-        }
-        let mut t_befores = Vec::with_capacity(evs.len());
-        for ev in evs {
-            t_befores.push(self.clock);
-            match self.reply_rx.recv() {
-                Ok(Reply::Fatal(_)) | Err(_) => return,
-                Ok(reply) => {
-                    self.apply_clock(&reply);
-                    if let Some(ev) = ev {
-                        // Deferred blocking sends anchor to their isend one
-                        // slot back (span 1), everything else to itself.
-                        let t_enter = t_befores[t_befores.len() - 1 - ev.span];
-                        self.emit_raw(ev.kind, ev.callsite, ev.stack_sig, t_enter);
-                    }
-                }
-            }
+    // -- rank lifecycle -------------------------------------------------------
+    //
+    // These run outside the rank body's `catch_unwind`, so they never
+    // unwind: a fatal reply or a closed channel just ends the drain. Hook
+    // events for the deferred ops are still emitted, so partial traces stay
+    // complete.
+
+    /// The rank body returned: ship the deferred queue with a trailing
+    /// `Op::Exited` (which gets no reply).
+    pub(crate) fn ship_exit(&mut self) {
+        if self.queue.is_empty() {
+            self.post(Op::Exited);
+        } else {
+            self.ship_queue(true);
         }
     }
 
+    /// Ship the deferred queue of a rank whose body panicked, if there is
+    /// one. Returns whether anything was shipped.
+    pub(crate) fn ship_teardown(&mut self) -> bool {
+        !self.queue.is_empty() && self.ship_queue(false)
+    }
+
+    /// Drain the replies of everything shipped, without unwinding.
+    pub(crate) fn settle_teardown(&mut self) {
+        self.drain(true);
+    }
+
     pub(crate) fn send_exited(&mut self) {
-        if self.queue.is_empty() {
-            let _ = self.req_tx.send(Request {
-                rank: self.rank,
-                op: Op::Exited,
-            });
-        } else {
-            self.flush_teardown(true);
-        }
+        self.ship_exit();
+        self.settle_teardown();
     }
 
     pub(crate) fn send_panicked(&mut self, message: String) {
         // Deliver any ops deferred before the panic first, so the partial
         // trace matches what an unbatched run would have recorded.
-        if !self.queue.is_empty() {
-            self.flush_teardown(false);
+        if self.ship_teardown() {
+            self.settle_teardown();
         }
-        let _ = self.req_tx.send(Request {
-            rank: self.rank,
-            op: Op::Panicked(message),
-        });
+        self.post(Op::Panicked(message));
+    }
+
+    /// Inline port: queue an engine reply in the mailbox.
+    pub(crate) fn deliver(&mut self, reply: Reply) {
+        match &mut self.port {
+            Port::Inline { mailbox, .. } => mailbox.push_back(reply),
+            Port::Thread { .. } => unreachable!("threaded ranks receive over their channel"),
+        }
+    }
+
+    /// Inline port: the request shipped since the last call.
+    pub(crate) fn take_shipped(&mut self) -> Option<Op> {
+        match &mut self.port {
+            Port::Inline { out, .. } => out.take(),
+            Port::Thread { .. } => None,
+        }
     }
 
     pub(crate) fn take_hook(&mut self) -> Option<Box<dyn Hook>> {
         self.hook.take()
+    }
+}
+
+fn split_op(comm: &Comm, color: i64, key: i64) -> Op {
+    Op::Coll {
+        kind: CollKind::CommSplit,
+        comm: comm.id,
+        root: None,
+        bytes: 0,
+        split: Some((color, key)),
+    }
+}
+
+/// The deferred event of an `MPI_Comm_split` on `parent`; the drain fills
+/// in the new communicator from the reply.
+fn split_event(parent: &Comm) -> EventKind {
+    EventKind::CommSplit {
+        parent: parent.id,
+        result: parent.id,
+        members: Arc::clone(&parent.members),
     }
 }
 

@@ -1,11 +1,12 @@
 //! The discrete-event engine: a sequential virtual-time scheduler that
-//! processes MPI-level operations submitted by rank threads.
+//! processes MPI-level operations submitted by ranks.
 //!
 //! ## Execution model
 //!
-//! Every rank runs as an OS thread, but the *simulation* is sequential: a
-//! rank submits each MPI-level operation as a request over a shared
-//! channel and blocks until the engine replies. The engine waits until every
+//! The *simulation* is sequential, whatever runs the rank code (see
+//! [`crate::driver`]: an OS thread per rank, or resumable rank machines on
+//! the engine's own thread). A rank submits each MPI-level operation as a
+//! request and waits until the engine replies. The engine waits until every
 //! live rank has either submitted its next request or finished
 //! ("quiescence"), then issues the newly arrived operations in ascending
 //! `(virtual clock, rank)` order. Issuing an operation applies its side
@@ -30,13 +31,13 @@
 //! posted. These mechanisms are what produce the paper's Figure 7 upturn.
 
 use crate::comm::{split_groups, Comm, CommId};
+use crate::driver::Driver;
 use crate::error::{BlockedOn, Budget, SimError};
 use crate::faults::FaultPlan;
 use crate::network::NetworkModel;
 use crate::time::{SimDuration, SimTime};
 use crate::types::{CollKind, Fnv1a, MsgInfo, Rank, Src, Tag, TagSel};
 use std::collections::{HashMap, VecDeque};
-use std::sync::mpsc::{Receiver, Sender};
 use std::sync::Arc;
 
 /// How the engine chooses among multiple messages that could match a
@@ -116,12 +117,12 @@ pub(crate) enum Op {
     Exited,
     /// Rank body panicked; the engine aborts the run.
     Panicked(String),
-    /// A burst of operations submitted in one channel handoff: zero or more
+    /// A burst of operations submitted in one handoff: zero or more
     /// nonblocking ops, optionally ending with one blocking op (or
     /// `Exited`). The engine unpacks the batch at receive time and issues
     /// the ops one per scheduling round — the global schedule is identical
-    /// to submitting them individually; only the thread baton crossings are
-    /// saved. Never nested; never contains `Panicked`.
+    /// to submitting them individually; only the rank↔engine
+    /// handoffs are saved. Never nested; never contains `Panicked`.
     Batch(Vec<Op>),
 }
 
@@ -141,8 +142,9 @@ pub(crate) enum Reply {
         clock: SimTime,
         comm: Comm,
     },
-    /// The run is over for this rank; the payload rides the `SimAbort`
-    /// panic so callers of partial-run entry points can see the cause.
+    /// The run is over for this rank; on a rank thread the payload rides
+    /// the `SimAbort` panic so callers of partial-run entry points can see
+    /// the cause.
     Fatal(SimError),
 }
 
@@ -213,13 +215,13 @@ struct Pending {
     issued: bool,
 }
 
-pub(crate) struct Engine {
+pub(crate) struct Engine<D> {
     model: Arc<dyn NetworkModel>,
     policy: MatchPolicy,
     n: usize,
 
-    req_rx: Receiver<Request>,
-    reply_tx: Vec<Sender<Reply>>,
+    /// Where requests come from and replies go.
+    pub(crate) driver: D,
 
     clocks: Vec<SimTime>,
     pending: Vec<Option<Pending>>,
@@ -229,7 +231,7 @@ pub(crate) struct Engine {
     finished: Vec<bool>,
     finalized: Vec<bool>,
     live: usize,
-    /// Ranks currently executing user code (reply sent, next request not yet
+    /// Ranks currently executing user code (woken, next request not yet
     /// received).
     running: usize,
 
@@ -280,20 +282,19 @@ pub(crate) struct Engine {
     time_budget: Option<SimTime>,
 }
 
-impl Engine {
+impl<D: Driver> Engine<D> {
+    /// An engine over `n` ranks, all of them running.
     pub(crate) fn new(
         n: usize,
         model: Arc<dyn NetworkModel>,
         policy: MatchPolicy,
-        req_rx: Receiver<Request>,
-        reply_tx: Vec<Sender<Reply>>,
-    ) -> Engine {
+        driver: D,
+    ) -> Engine<D> {
         Engine {
             model,
             policy,
             n,
-            req_rx,
-            reply_tx,
+            driver,
             clocks: vec![SimTime::ZERO; n],
             pending: (0..n).map(|_| None).collect(),
             queued: (0..n).map(|_| VecDeque::new()).collect(),
@@ -346,10 +347,7 @@ impl Engine {
         loop {
             // Phase 1: quiescence — wait for every running rank's next request.
             while self.running > 0 {
-                let req = self
-                    .req_rx
-                    .recv()
-                    .map_err(|_| SimError::InvalidHandle("request channel closed".into()))?;
+                let req = self.driver.next_request()?;
                 self.running -= 1;
                 if let Op::Panicked(msg) = req.op {
                     let err = SimError::RankPanicked {
@@ -562,16 +560,16 @@ impl Engine {
 
     /// Kill `rank` per the fault plan: it dies *before* the operation it was
     /// about to issue takes effect. The reply bypasses [`Engine::reply`] —
-    /// the rank will never run user code again, so it must not be counted as
-    /// running — and the thread unwinds via `SimAbort`, letting the world
-    /// recover its hooks (partial trace) after `catch_unwind`.
+    /// the rank will never run user code again, so it must not be woken —
+    /// and a rank thread unwinds via `SimAbort`, letting the world recover
+    /// its hooks (partial trace) after `catch_unwind`.
     fn crash_rank(&mut self, rank: Rank, after_ops: u64) {
         let err = SimError::RankFailed {
             rank,
             after_ops,
             blocked: Vec::new(),
         };
-        let _ = self.reply_tx[rank].send(Reply::Fatal(err));
+        self.driver.deliver(rank, Reply::Fatal(err));
         self.finished[rank] = true;
         self.live -= 1;
         self.pending[rank] = None;
@@ -1078,24 +1076,25 @@ impl Engine {
 
     fn reply(&mut self, rank: Rank, reply: Reply) {
         self.progressed = true;
-        // A send failure means the rank thread died; the subsequent request
-        // drain will surface the problem.
-        let _ = self.reply_tx[rank].send(reply);
+        self.driver.deliver(rank, reply);
         match self.queued[rank].pop_front() {
             // The rank pre-submitted its next op in a batch: promote it so
             // the next round issues it — exactly when an individually
             // submitted op would have been issued (it would arrive during
-            // the next quiescence phase). The rank thread is not running
-            // user code for it, so `running` stays untouched.
+            // the next quiescence phase). The rank is not running user code
+            // for it, so it is not woken.
             Some(op) => self.pending[rank] = Some(Pending { op, issued: false }),
-            None => self.running += 1,
+            None => {
+                self.running += 1;
+                self.driver.wake(rank);
+            }
         }
     }
 
     fn broadcast_fatal(&mut self, err: &SimError) {
         for r in 0..self.n {
             if !self.finished[r] {
-                let _ = self.reply_tx[r].send(Reply::Fatal(err.clone()));
+                self.driver.deliver(r, Reply::Fatal(err.clone()));
             }
         }
     }

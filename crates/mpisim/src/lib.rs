@@ -2,8 +2,10 @@
 //! # mpisim — a deterministic discrete-event MPI runtime
 //!
 //! This crate is the hardware/MPI substrate for the benchmark-generation
-//! pipeline. It executes SPMD "rank programs" (plain Rust closures receiving
-//! a [`ctx::Ctx`]) under a sequential virtual-time scheduler, providing:
+//! pipeline. It executes SPMD "rank programs" under a sequential
+//! virtual-time scheduler: plain Rust closures receiving a [`ctx::Ctx`],
+//! one OS thread per rank, or resumable [`driver::RankMachine`]s driven
+//! inline on the caller's thread. It provides:
 //!
 //! * **Point-to-point messaging** — blocking and nonblocking sends/receives
 //!   with tags, `MPI_ANY_SOURCE`/`MPI_ANY_TAG` wildcards, MPI-conformant
@@ -59,6 +61,7 @@
 
 pub mod comm;
 pub mod ctx;
+pub mod driver;
 pub mod engine;
 pub mod error;
 pub mod faults;
@@ -70,6 +73,7 @@ pub mod types;
 pub mod world;
 
 pub use ctx::Ctx;
+pub use driver::RankMachine;
 pub use error::SimError;
 pub use faults::FaultPlan;
 pub use time::{SimDuration, SimTime};

@@ -1,6 +1,8 @@
 //! `World`: configures and launches a simulated run.
 
+use crate::comm::Comm;
 use crate::ctx::{Ctx, SimAbort};
+use crate::driver::{panic_message, Driver, Inline, RankMachine, Threads};
 use crate::engine::{Engine, EngineStats, MatchPolicy, Reply, Request};
 use crate::error::SimError;
 use crate::faults::FaultPlan;
@@ -39,6 +41,7 @@ pub struct RunReport {
 ///     .unwrap();
 /// assert_eq!(report.ranks, 2);
 /// ```
+#[derive(Clone)]
 pub struct World {
     n: usize,
     model: Arc<dyn NetworkModel>,
@@ -62,6 +65,11 @@ impl World {
             time_budget: None,
             op_batching: true,
         }
+    }
+
+    /// The number of ranks.
+    pub fn size(&self) -> usize {
+        self.n
     }
 
     /// Select the network timing model.
@@ -112,7 +120,8 @@ impl World {
         self
     }
 
-    /// Run `body` on every rank without interposition hooks.
+    /// Run `body` on every rank, each rank on its own OS thread, without
+    /// interposition hooks.
     pub fn run<F>(self, body: F) -> Result<RunReport, SimError>
     where
         F: Fn(&mut Ctx) + Send + Sync + 'static,
@@ -149,15 +158,113 @@ impl World {
     {
         let mut mk = mk;
         let (result, hooks) = self.launch(|r| Some(Box::new(mk(r)) as Box<dyn Hook>), body);
-        let mut out = Vec::with_capacity(hooks.len());
-        for h in hooks {
-            let any: Box<dyn Any> = h;
-            out.push(
-                *any.downcast::<H>()
-                    .expect("hook type is the one we created"),
-            );
+        (result, downcast_hooks(hooks))
+    }
+
+    /// Run one resumable [`RankMachine`] per rank, `machines[r]` on rank
+    /// `r`, inline on the calling thread: no rank threads, no channels.
+    /// Virtual times, schedules and reports are those of the same ranks
+    /// run as threads. Returns the machines afterwards, also when the run
+    /// fails. Inline ranks always batch ([`World::op_batching`] does not
+    /// apply).
+    pub fn run_machines<M: RankMachine>(
+        self,
+        machines: Vec<M>,
+    ) -> (Result<RunReport, SimError>, Vec<M>) {
+        let (result, _hooks, machines) = self.launch_inline(|_| None, machines);
+        (result, machines)
+    }
+
+    /// As [`World::run_machines`], with a per-rank interposition [`Hook`]
+    /// created by `mk`. The hooks come back even when the run fails, as
+    /// with [`World::run_hooked_partial`].
+    pub fn run_machines_hooked<M, H, MK>(
+        self,
+        mut mk: MK,
+        machines: Vec<M>,
+    ) -> (Result<RunReport, SimError>, Vec<H>, Vec<M>)
+    where
+        M: RankMachine,
+        H: Hook + 'static,
+        MK: FnMut(Rank) -> H,
+    {
+        let (result, hooks, machines) =
+            self.launch_inline(|r| Some(Box::new(mk(r)) as Box<dyn Hook>), machines);
+        (result, downcast_hooks(hooks), machines)
+    }
+
+    /// Validate the fault plan and build the network model the run uses.
+    fn prepare(&self) -> Result<Prepared, SimError> {
+        let plan = match &self.faults {
+            Some(p) => match p.validate(self.n) {
+                Ok(()) => Some(Arc::new(p.clone())),
+                Err(e) => return Err(SimError::InvalidFaultPlan(e.to_string())),
+            },
+            None => None,
+        };
+        // Per-link skew lives in a pure network decorator, keeping
+        // `NetworkModel` implementations stateless.
+        let model = match &plan {
+            Some(p) if p.link_skew > 0.0 => {
+                network::skewed(Arc::clone(&self.model), p.seed, p.link_skew)
+            }
+            _ => Arc::clone(&self.model),
+        };
+        Ok((plan, model))
+    }
+
+    /// Build the engine over `driver`, run it, and report.
+    fn simulate<D: Driver>(
+        &self,
+        plan: Option<Arc<FaultPlan>>,
+        model: Arc<dyn NetworkModel>,
+        driver: D,
+    ) -> (Result<RunReport, SimError>, D) {
+        let mut engine = Engine::new(self.n, Arc::clone(&model), self.policy, driver);
+        if let Some(p) = plan {
+            engine.set_faults(p);
         }
-        (result, out)
+        engine.set_budgets(self.op_budget, self.time_budget);
+        let result = engine.run().map(|()| RunReport {
+            ranks: self.n,
+            total_time: engine.max_clock(),
+            per_rank_time: engine.clocks().to_vec(),
+            stats: engine.stats.clone(),
+            network: model.name().to_string(),
+        });
+        (result, engine.driver)
+    }
+
+    fn launch_inline<M: RankMachine>(
+        self,
+        mut mk: impl FnMut(Rank) -> Option<Box<dyn Hook>>,
+        machines: Vec<M>,
+    ) -> InlineRun<M> {
+        let n = self.n;
+        assert_eq!(machines.len(), n, "one rank machine per rank");
+        let (plan, model) = match self.prepare() {
+            Ok(p) => p,
+            Err(e) => return (Err(e), Vec::new(), machines),
+        };
+        let world = Comm::world(0, n);
+        let ranks = machines.into_iter().enumerate().map(|(rank, m)| {
+            let world = Comm {
+                rank,
+                ..world.clone()
+            };
+            (Ctx::inline(world, mk(rank)), m)
+        });
+        let (result, driver) = self.simulate(plan, model, Inline::new(ranks));
+        let mut hooks = Vec::new();
+        let mut machines = Vec::with_capacity(n);
+        for mut rank in driver.ranks {
+            // Replies the engine sent but the rank never consumed (its run
+            // ended, or the whole run did) still produce their events.
+            rank.ctx.settle_teardown();
+            hooks.extend(rank.ctx.take_hook());
+            machines.push(rank.machine);
+        }
+        (result, hooks, machines)
     }
 
     fn launch<F>(
@@ -171,21 +278,14 @@ impl World {
         install_quiet_abort_hook();
         let n = self.n;
         // Validate and install the fault plan before any rank is spawned.
-        let plan = match &self.faults {
-            Some(p) => match p.validate(n) {
-                Ok(()) => Some(Arc::new(p.clone())),
-                Err(e) => return (Err(SimError::InvalidFaultPlan(e.to_string())), Vec::new()),
-            },
-            None => None,
-        };
-        // Per-link skew lives in a pure network decorator, keeping
-        // `NetworkModel` implementations stateless.
-        let model = match &plan {
-            Some(p) if p.link_skew > 0.0 => network::skewed(self.model, p.seed, p.link_skew),
-            _ => self.model,
+        let (plan, model) = match self.prepare() {
+            Ok(p) => p,
+            Err(e) => return (Err(e), Vec::new()),
         };
         let body = Arc::new(body);
         let batching = self.op_batching;
+        // One member list for every rank's view of the world.
+        let world = Comm::world(0, n);
         let (req_tx, req_rx) = mpsc::channel::<Request>();
         let mut reply_txs = Vec::with_capacity(n);
         let mut threads = Vec::with_capacity(n);
@@ -195,12 +295,16 @@ impl World {
             let hook = mk(rank);
             let body = Arc::clone(&body);
             let req_tx = req_tx.clone();
+            let world = Comm {
+                rank,
+                ..world.clone()
+            };
             let builder = std::thread::Builder::new()
                 .name(format!("rank-{rank}"))
                 .stack_size(512 * 1024);
             let handle = builder
                 .spawn(move || {
-                    let mut ctx = Ctx::new(rank, n, req_tx, reply_rx, hook, batching);
+                    let mut ctx = Ctx::threaded(world, req_tx, reply_rx, hook, batching);
                     let result = panic::catch_unwind(AssertUnwindSafe(|| body(&mut ctx)));
                     match result {
                         Ok(()) => ctx.send_exited(),
@@ -217,41 +321,41 @@ impl World {
         }
         drop(req_tx);
 
-        let mut engine = Engine::new(n, model.clone(), self.policy, req_rx, reply_txs);
-        if let Some(p) = plan {
-            engine.set_faults(p);
-        }
-        engine.set_budgets(self.op_budget, self.time_budget);
-        let engine_result = engine.run();
+        let driver = Threads {
+            requests: req_rx,
+            replies: reply_txs,
+        };
+        // The driver (and with it the request channel) lives until every
+        // rank thread has been joined.
+        let (result, _driver) = self.simulate(plan, model, driver);
 
         let mut hooks = Vec::new();
         for t in threads {
             match t.join() {
                 Ok(Some(h)) => hooks.push(h),
                 Ok(None) => {}
-                Err(_) => { /* rank aborted; engine_result carries the cause */ }
+                Err(_) => { /* rank aborted; the result carries the cause */ }
             }
         }
-
-        let result = engine_result.map(|()| RunReport {
-            ranks: n,
-            total_time: engine.max_clock(),
-            per_rank_time: engine.clocks().to_vec(),
-            stats: engine.stats.clone(),
-            network: model.name().to_string(),
-        });
         (result, hooks)
     }
 }
 
-fn panic_message(payload: &Box<dyn Any + Send>) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "<non-string panic payload>".to_string()
-    }
+/// A validated fault plan and the network model it decorates.
+type Prepared = (Option<Arc<FaultPlan>>, Arc<dyn NetworkModel>);
+
+/// What an inline run hands back: the result, the hooks, the machines.
+type InlineRun<M> = (Result<RunReport, SimError>, Vec<Box<dyn Hook>>, Vec<M>);
+
+fn downcast_hooks<H: Hook>(hooks: Vec<Box<dyn Hook>>) -> Vec<H> {
+    hooks
+        .into_iter()
+        .map(|h| {
+            let any: Box<dyn Any> = h;
+            *any.downcast::<H>()
+                .expect("hook type is the one we created")
+        })
+        .collect()
 }
 
 /// Suppress the default "thread panicked" stderr noise for the controlled

@@ -16,7 +16,7 @@ use crate::memcache::TraceMemCache;
 use campaign::hash;
 use campaign::matrix::{parse_class, CampaignSpec, JobSpec, NETWORKS};
 use campaign::{run_campaign, Telemetry, TraceCache};
-use conceptual::interp::run_rank;
+use conceptual::interp::run_program_hooked;
 use miniapps::registry;
 use mpisim::network::{self, NetworkModel};
 use mpisim::profile::MpiP;
@@ -197,13 +197,11 @@ pub fn run_single(kind: JobKind, spec: &JobSpec, mem: &TraceMemCache) -> Result<
     }
 
     // 3. Execute under an mpiP hook: one run yields T_gen and the profile.
-    let program = Arc::new(generated.program);
-    let prog = Arc::clone(&program);
-    let (report, hooks) = World::new(spec.ranks)
-        .network(model)
-        .run_hooked(|_| MpiP::new(), move |ctx| run_rank(ctx, &prog))
-        .map_err(|e| format!("generated benchmark failed: {e}"))?;
-    let t_gen = report.total_time;
+    let world = World::new(spec.ranks).network(model);
+    let (outcome, hooks) = run_program_hooked(&generated.program, world, |_| MpiP::new());
+    let t_gen = outcome
+        .map_err(|e| format!("generated benchmark failed: {e}"))?
+        .total_time;
     let profile_text = MpiP::merge_all(hooks.iter()).to_string();
 
     result.t_gen_ns = Some(t_gen.as_nanos());

@@ -276,16 +276,13 @@ fn main() -> ExitCode {
     //    write the merged profile — the artifact the paper's E1 verification
     //    (and the commspec server's `simulate` job) consumes.
     if let Some(path) = &args.profile {
-        let program = std::sync::Arc::new(generated.program.clone());
-        let prog = std::sync::Arc::clone(&program);
-        let result = mpisim::world::World::new(trace.nranks)
-            .network(machine.clone())
-            .run_hooked(
-                |_| mpisim::profile::MpiP::new(),
-                move |ctx| conceptual::interp::run_rank(ctx, &prog),
-            );
+        let world = mpisim::world::World::new(trace.nranks).network(machine.clone());
+        let (result, hooks) =
+            conceptual::interp::run_program_hooked(&generated.program, world, |_| {
+                mpisim::profile::MpiP::new()
+            });
         match result {
-            Ok((_, hooks)) => {
+            Ok(_) => {
                 let profile = mpisim::profile::MpiP::merge_all(hooks.iter()).to_string();
                 if let Err(e) = std::fs::write(path, profile) {
                     eprintln!("cannot write {path}: {e}");

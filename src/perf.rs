@@ -45,7 +45,7 @@
 
 use campaign::hash;
 use campaign::TraceCache;
-use conceptual::interp::run_rank;
+use conceptual::interp::{run_program_hooked, run_rank};
 use miniapps::{registry, App, AppParams, Class};
 use mpisim::network;
 use mpisim::profile::MpiP;
@@ -282,7 +282,8 @@ pub struct PerfReport {
 enum Variant {
     /// Fingerprint folding + batched op submission.
     Current,
-    /// Seed algorithms: structural folding + per-op handoffs.
+    /// Seed algorithms: structural folding + per-op handoffs, and the
+    /// generated benchmark on a thread per rank.
     Baseline,
 }
 
@@ -737,13 +738,23 @@ fn pipeline_once(
     };
     let generated = benchgen::generate(&trace, &benchgen::GenOptions::default())
         .map_err(|e| format!("{}: generation failed: {e}", app.name))?;
-    let prog = Arc::new(generated.program);
-    let p = Arc::clone(&prog);
-    let (_, hooks) = World::new(n)
-        .network(network::ideal())
-        .op_batching(variant.batching())
-        .run_hooked(|_| MpiP::new(), move |ctx| run_rank(ctx, &p))
-        .map_err(|e| format!("{}: execution failed: {e}", app.name))?;
+    let world = World::new(n).network(network::ideal());
+    let hooks = match variant {
+        Variant::Current => {
+            let (outcome, hooks) = run_program_hooked(&generated.program, world, |_| MpiP::new());
+            outcome.map(|_| hooks).map_err(|e| e.to_string())
+        }
+        // The seed path: a thread per rank, one handoff per call.
+        Variant::Baseline => {
+            let prog = Arc::new(generated.program);
+            world
+                .op_batching(false)
+                .run_hooked(|_| MpiP::new(), move |ctx| run_rank(ctx, &prog))
+                .map(|(_, hooks)| hooks)
+                .map_err(|e| e.to_string())
+        }
+    }
+    .map_err(|e| format!("{}: execution failed: {e}", app.name))?;
     Ok(black_box(
         MpiP::merge_all(hooks.iter()).total_calls() as usize
     ))
