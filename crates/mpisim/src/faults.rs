@@ -270,7 +270,7 @@ impl FaultPlan {
 
     /// This plan minus every crash action (op-count and collective-entry
     /// alike), with all timing perturbations kept. This is the plan a
-    /// checkpoint *resume* runs under: the re-entry invariant needs the same
+    /// capture *resume* runs under: the re-entry invariant needs the same
     /// jitter/skew/straggle draws as the crashed run, but the recovered rank
     /// must live this time.
     pub fn without_crashes(mut self) -> FaultPlan {

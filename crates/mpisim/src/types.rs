@@ -228,7 +228,9 @@ impl fmt::Display for CallSite {
     }
 }
 
-/// FNV-1a — a small, dependency-free hash used for stack signatures.
+/// 64-bit FNV-1a — a small, dependency-free hash. It derives stack
+/// signatures, checksums every STBS frame, and keys the campaign cache
+/// (through `campaign::hash::fnv1a`).
 #[derive(Clone)]
 pub struct Fnv1a(u64);
 

@@ -27,10 +27,10 @@ pub struct Tracer {
     last_exit: SimTime,
     /// Number of MPI events this rank recorded.
     pub events_seen: u64,
-    /// Events still to ignore after a checkpoint restore: the resumed
-    /// simulation re-runs from virtual t=0 and deterministically reproduces
-    /// the events the checkpoint already captured, so the first
-    /// `resume_skip` deliveries are dropped instead of re-recorded.
+    /// Events still to ignore after an STBS resume: the resumed simulation
+    /// re-runs from virtual t=0 and deterministically reproduces the events
+    /// the rank's sealed segments already hold, so the first `resume_skip`
+    /// deliveries are dropped instead of re-recorded.
     resume_skip: u64,
 }
 
@@ -69,16 +69,17 @@ impl Tracer {
         }
     }
 
-    /// Rebuild a tracer from checkpointed state (see [`crate::snapshot`]).
-    /// The restored tracer starts in resume mode: its first `events_seen`
-    /// observed events are skipped, because they are the deterministic
-    /// re-simulation of what the checkpoint already holds.
+    /// A tracer resuming after `events_seen` events whose compressed form
+    /// is already sealed on disk (see [`crate::stream::trace_world_resumed`]).
+    /// It starts in resume mode: its first `events_seen` observed events
+    /// are skipped, because they are the deterministic re-simulation of
+    /// what the sealed segments hold. `comms` is the rank's communicator
+    /// table as of the newest sealed segment.
     pub(crate) fn restore(
         rank: usize,
         nranks: usize,
         seq: TailCompressor,
         comms: CommTable,
-        last_exit: SimTime,
         events_seen: u64,
     ) -> Tracer {
         Tracer {
@@ -86,7 +87,7 @@ impl Tracer {
             nranks,
             seq,
             comms,
-            last_exit,
+            last_exit: SimTime::ZERO,
             events_seen,
             resume_skip: events_seen,
         }
@@ -102,10 +103,6 @@ impl Tracer {
 
     pub(crate) fn comms_ref(&self) -> &CommTable {
         &self.comms
-    }
-
-    pub(crate) fn last_exit(&self) -> SimTime {
-        self.last_exit
     }
 
     /// The rank this tracer observes.
@@ -197,20 +194,20 @@ impl Tracer {
     /// updating the clock, communicator table, and event count — everything
     /// [`Hook::on_event`] does except appending to the compressor. `None`
     /// while the tracer is replaying through already-captured events after a
-    /// restore. Factored out so the streaming capture (`crate::stream`) can
+    /// resume. Factored out so the streaming capture (`crate::stream`) can
     /// interpose its seal/reload logic between observation and append.
     pub(crate) fn observe(&mut self, event: &Event) -> Option<TraceNode> {
         if self.resume_skip > 0 {
-            // Already captured before the checkpoint; the deterministic
+            // Already sealed before the interruption; the deterministic
             // re-run reproduces it bit-for-bit (communicators included —
             // the CommTable was restored, so the CommSplit insert is
             // already present). Drop it — but track its exit time: the
             // crash that ended the original run can shift the *completion*
             // of the frontier event (e.g. a send to the dead rank draining
-            // early), so the checkpointed `last_exit` is an absolute time
-            // from the crashed timeline. The replayed event carries the
-            // uncrashed timeline's exit, which is what the next recorded
-            // compute interval must be measured from.
+            // early), so only the replayed event's exit, taken from the
+            // uncrashed timeline, is what the next recorded compute
+            // interval may be measured from. `last_exit` is therefore
+            // re-derived from live events, never read back from disk.
             self.last_exit = event.t_exit;
             self.resume_skip -= 1;
             return None;
@@ -312,6 +309,22 @@ pub struct PartialTracedRun {
 }
 
 impl PartialTracedRun {
+    /// Pair `trace` with the outcome of the run that produced it.
+    pub(crate) fn from_result(trace: Trace, result: Result<RunReport, SimError>) -> Self {
+        match result {
+            Ok(report) => PartialTracedRun {
+                trace,
+                report: Some(report),
+                error: None,
+            },
+            Err(err) => PartialTracedRun {
+                trace,
+                report: None,
+                error: Some(err),
+            },
+        }
+    }
+
     /// Did the traced run complete normally?
     pub fn completed(&self) -> bool {
         self.error.is_none()
@@ -326,17 +339,5 @@ where
     F: Fn(&mut Ctx) + Send + Sync + 'static,
 {
     let (result, tracers) = world.run_hooked_partial(|r| Tracer::new(r, n), body);
-    let trace = merge_tracers(tracers);
-    match result {
-        Ok(report) => PartialTracedRun {
-            trace,
-            report: Some(report),
-            error: None,
-        },
-        Err(err) => PartialTracedRun {
-            trace,
-            report: None,
-            error: Some(err),
-        },
-    }
+    PartialTracedRun::from_result(merge_tracers(tracers), result)
 }

@@ -167,37 +167,6 @@ impl TailCompressor {
         self.max_window
     }
 
-    /// Rebuild a compressor around a previously compressed sequence (a
-    /// checkpoint restore).
-    ///
-    /// The sequence is adopted verbatim — no fold is attempted, because the
-    /// checkpointed state is by construction a fold fixpoint and restoring
-    /// must be byte-exact. The fingerprint records and prefix hashes are
-    /// recomputed from the node structure; this reproduces the incrementally
-    /// maintained values exactly: fingerprints are timing-blind (so
-    /// histogram absorption during folding never changed them) and a
-    /// Case-A-bumped loop's fingerprint is re-derived from its count and
-    /// body hash via the same [`fingerprint::loop_fp`] identity the
-    /// incremental path uses.
-    pub fn from_nodes(
-        max_window: usize,
-        strategy: FoldStrategy,
-        nodes: Vec<TraceNode>,
-    ) -> TailCompressor {
-        let mut c = TailCompressor::with_strategy(max_window, strategy);
-        if strategy == FoldStrategy::Structural {
-            c.seq = nodes;
-            return c;
-        }
-        for node in nodes {
-            let rec = c.record_of(&node);
-            c.seq.push(node);
-            c.recs.push(rec);
-            c.push_pref(rec.fp);
-        }
-        c
-    }
-
     /// The compressed sequence so far.
     pub fn nodes(&self) -> &[TraceNode] {
         &self.seq
@@ -396,10 +365,14 @@ impl TailCompressor {
         self.rebuild_index();
     }
 
-    /// Recompute `recs`/`pref` from the node structure, exactly as
-    /// [`TailCompressor::from_nodes`] does on a checkpoint restore (and with
-    /// the same byte-exactness argument: fingerprints are timing-blind and
-    /// loop fingerprints are re-derived from count and body hash).
+    /// Recompute `recs`/`pref` from the node structure. This reproduces
+    /// the incrementally maintained values exactly, so a compressor rebuilt
+    /// around sealed nodes (a segment reload, or an STBS resume starting
+    /// from an empty compressor) folds byte-identically: fingerprints are
+    /// timing-blind (histogram absorption during folding never changed
+    /// them) and a Case-A-bumped loop's fingerprint is re-derived from its
+    /// count and body hash via the same [`fingerprint::loop_fp`] identity
+    /// the incremental path uses.
     fn rebuild_index(&mut self) {
         if self.strategy == FoldStrategy::Structural {
             return;
@@ -610,10 +583,11 @@ mod tests {
     }
 
     #[test]
-    fn from_nodes_continuation_matches_uninterrupted_run() {
-        // Split a stream at every prefix length, restore a compressor from
-        // the checkpointed nodes, feed the remainder — the result must be
-        // byte-identical to the uninterrupted run.
+    fn prepend_nodes_continuation_matches_uninterrupted_run() {
+        // Split a stream at every prefix length, prepend the compressed
+        // prefix to an empty compressor (what an STBS resume does with a
+        // rank's reloaded top segment), feed the remainder — the result
+        // must be byte-identical to the uninterrupted run.
         let stream: Vec<TraceNode> = (0..120)
             .map(|i| ev(if i == 60 { 99 } else { 1 + (i % 4) }, 64, 1 + (i % 3)))
             .collect();
@@ -627,8 +601,8 @@ mod tests {
                 for n in &stream[..cut] {
                     first.push(n.clone());
                 }
-                let snapshot = first.into_nodes();
-                let mut second = TailCompressor::from_nodes(DEFAULT_MAX_WINDOW, strategy, snapshot);
+                let mut second = TailCompressor::with_strategy(DEFAULT_MAX_WINDOW, strategy);
+                second.prepend_nodes(first.into_nodes());
                 for n in &stream[cut..] {
                     second.push(n.clone());
                 }

@@ -37,6 +37,7 @@
 //! assert!(traced.trace.node_count() <= 8);
 //! ```
 
+pub mod codec;
 pub mod collect;
 pub mod compress;
 pub mod cursor;
@@ -46,13 +47,13 @@ pub mod merge;
 pub mod params;
 pub mod rankset;
 pub mod replay;
-pub mod snapshot;
 pub mod stats;
 pub mod stream;
 pub mod text;
 pub mod timestats;
 pub mod trace;
 
+pub use codec::SnapshotError;
 pub use collect::{
     trace_app, trace_app_with_strategy, trace_world, trace_world_partial,
     trace_world_with_strategy, PartialTracedRun, TracedRun, Tracer,
@@ -61,12 +62,9 @@ pub use compress::{FoldStrategy, TailCompressor};
 pub use cursor::{events_for_rank, semantically_equal, ConcreteEvent, ConcreteOp, Cursor};
 pub use merge::{MergeStats, MergeStrategy};
 pub use rankset::RankSet;
-pub use snapshot::{
-    trace_world_checkpointed, trace_world_resumed, CheckpointConfig, SnapshotError,
-};
 pub use stream::{
-    fsck_dir, salvage_dir, trace_world_streamed, RankSalvage, SalvageReport, SegmentCursor,
-    StreamConfig, StreamCounters, StreamFsckReport, StreamedRun, StreamingTracer,
+    fsck_dir, salvage_dir, trace_world_resumed, trace_world_streamed, RankSalvage, SalvageReport,
+    SegmentCursor, StreamConfig, StreamCounters, StreamFsckReport, StreamedRun, StreamingTracer,
 };
 pub use timestats::TimeStats;
 pub use trace::{CommTable, OpTemplate, Prsd, Rsd, Trace, TraceNode};

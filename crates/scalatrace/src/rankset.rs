@@ -329,9 +329,9 @@ impl RankSet {
     }
 
     /// Rebuild a set from runs captured by [`RankSet::runs`] — the exact
-    /// inverse the checkpoint codec needs. The runs are re-interned, so
+    /// inverse the STBS node codec needs. The runs are re-interned, so
     /// canonical shapes regain their shared storage (and pointer-equality
-    /// fast paths) after a restore.
+    /// fast paths) after a decode.
     pub fn from_runs(runs: Vec<Run>) -> RankSet {
         RankSet { runs: intern(runs) }
     }

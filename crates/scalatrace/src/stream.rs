@@ -1,29 +1,28 @@
-//! STBS ("ScalaTrace Binary Segments"): a crash-safe streaming binary trace
-//! format with bounded-memory capture and segment salvage.
+//! STBS ("ScalaTrace Binary Segments"): the crash-safe binary trace format,
+//! with bounded-memory streaming capture, segment salvage, and resume.
 //!
-//! The STCP checkpoint format (see [`crate::snapshot`]) freezes a tracer's
-//! whole state in one file — it still assumes the compressed trace fits in
-//! RAM and that the process survives to write it. STBS removes both
-//! assumptions: during capture, whenever a rank's resident node tail
-//! outgrows a configurable budget, the frozen prefix is *sealed* into an
-//! append-only, checksummed segment file (atomic tmp + rename) and evicted
-//! from memory. A SIGKILL or torn write loses at most the unsealed tail;
-//! [`salvage_dir`] recovers every intact segment afterwards and yields a
-//! verified prefix trace in the same [`PartialTracedRun`] shape rank crashes
-//! already produce.
+//! During capture, whenever a rank's resident node tail outgrows a
+//! configurable budget, the frozen prefix is *sealed* into an append-only,
+//! checksummed segment file (atomic tmp + rename) and evicted from memory.
+//! A SIGKILL or torn write loses at most the unsealed tail: [`salvage_dir`]
+//! recovers every intact segment afterwards as a verified prefix trace, in
+//! the same [`PartialTracedRun`] shape rank crashes already produce, and
+//! [`trace_world_resumed`] continues the capture from those segments to the
+//! full trace.
 //!
-//! Every file shares the STCP framing, little-endian throughout:
+//! Every file is one frame, little-endian throughout:
 //!
 //! ```text
 //! magic "STBS" · version u32 · kind u8 · payload · FNV-1a checksum u64
 //! ```
 //!
-//! with the checksum covering everything before it. Two payload kinds
-//! exist: a whole-trace file (`kind 0`, written by `commbench convert` and
-//! the campaign cache) and a capture segment (`kind 1`, carrying rank,
-//! world size, segment index, cumulative event count, the rank's
-//! communicator table as of sealing, the sealed nodes, and a `last` flag
-//! marking clean completion). A truncated, bit-flipped, or wrong-version
+//! with the checksum covering everything before it and the payload's nodes
+//! in the [`crate::codec`] encoding. Two payload kinds exist: a whole-trace
+//! file (`kind 0`, written by `commbench convert` and the campaign cache)
+//! and a capture segment (`kind 1`, carrying rank, world size, segment
+//! index, cumulative event count, the rank's communicator table as of
+//! sealing, the sealed nodes, and a `last` flag marking clean completion —
+//! a rank's chain ends there). A truncated, bit-flipped, or wrong-version
 //! file decodes to [`SnapshotError::Corrupt`], never to a silently wrong
 //! trace.
 //!
@@ -50,11 +49,32 @@
 //! [`StreamCounters::seal_errors`] — correctness over the memory bound. A
 //! failed *reload* panics: the process just wrote that file, so an
 //! unreadable one means the disk is lying and no exact continuation exists.
+//!
+//! # Resume
+//!
+//! [`trace_world_resumed`] re-runs the application from virtual t=0 under
+//! the bit-deterministic engine (virtual time costs nothing to re-run), and
+//! each rank picks up at the end of its verified chain. It skips its first
+//! `events_end` deliveries, which reproduce the sealed events with
+//! identical payloads, and appends from there. During the skip the rank's
+//! last-exit clock is re-derived from the live events, never from the
+//! interrupted timeline: a crash can shift the completion of the frontier
+//! event, and every recorded compute gap hangs off that clock.
+//!
+//! Resume is exact because every tail fold includes the newest node. Nodes
+//! sealed before event k+1 are therefore never rewritten afterwards, so a
+//! sealed prefix is exactly the compression of its own events, and the
+//! seal/reload guard above covers every fold after it. The chain's top
+//! segment is reloaded up front, so a `last` flag left by the interrupted
+//! run is sealed again in its proper place; a rank without segments
+//! restarts fresh. `tests/stream_differential.rs` checks resume
+//! byte-identical to the uninterrupted run after crashes, lost top
+//! segments and budget cutoffs.
 
+use crate::codec::{corrupt, dec_node, enc_node, Dec, Enc, SnapshotError};
 use crate::collect::{PartialTracedRun, Tracer};
 use crate::compress::{FoldStrategy, TailCompressor, DEFAULT_MAX_WINDOW};
 use crate::merge::merge_sequences;
-use crate::snapshot::{corrupt, dec_node, enc_node, Dec, Enc, SnapshotError};
 use crate::trace::{CommTable, Trace, TraceNode};
 use mpisim::ctx::Ctx;
 use mpisim::hooks::{Event, Hook};
@@ -436,6 +456,28 @@ impl StreamingTracer {
         }
     }
 
+    /// A streaming tracer for `rank` continuing its verified `chain`, whose
+    /// communicator table is `comms`: the sealed events are skipped on
+    /// re-entry (see the module docs' resume section), and the chain's top
+    /// segment is reloaded up front so the next seal rewrites it. A rank
+    /// with an empty chain starts fresh.
+    fn resume(
+        nranks: usize,
+        cfg: StreamConfig,
+        chain: &RankSalvage,
+        comms: CommTable,
+    ) -> StreamingTracer {
+        let mut t = StreamingTracer::new(chain.rank, nranks, cfg);
+        if chain.segments > 0 {
+            let seq = TailCompressor::with_strategy(t.cfg.max_window(), t.cfg.strategy());
+            t.inner = Tracer::restore(chain.rank, nranks, seq, comms, chain.events);
+            t.next_index = chain.segments;
+            t.events_sealed = chain.events;
+            t.reload_last();
+        }
+        t
+    }
+
     /// The capture counters so far.
     pub fn counters(&self) -> StreamCounters {
         self.counters
@@ -619,29 +661,79 @@ where
     F: Fn(&mut Ctx) + Send + Sync + 'static,
 {
     std::fs::create_dir_all(cfg.dir())?;
-    let cfg_hook = cfg.clone();
-    let (result, mut hooks) =
-        world.run_hooked_partial(move |r| StreamingTracer::new(r, n, cfg_hook.clone()), body);
+    run_streaming(
+        world,
+        cfg,
+        |r| StreamingTracer::new(r, n, cfg.clone()),
+        body,
+    )
+}
+
+/// Resume an interrupted streamed capture — a simulated crash, a budget
+/// cutoff, or a SIGKILLed process — from the segments under `cfg`, to the
+/// trace the uninterrupted capture would have produced, byte for byte.
+///
+/// The directory is fsck'ed first ([`fsck_dir`]), then each rank continues
+/// its verified chain (see the module docs' resume section); a rank
+/// without segments restarts fresh. The world must re-run the same
+/// application deterministically — same ranks, body, network and match
+/// policy, and a fault plan without the crash being recovered from (see
+/// [`mpisim::faults::FaultPlan::without_crashes`]) — and `cfg` must use
+/// the interrupted capture's fold window and strategy. Errors when the
+/// directory holds a capture of another world size.
+pub fn trace_world_resumed<F>(
+    world: World,
+    n: usize,
+    cfg: &StreamConfig,
+    body: F,
+) -> Result<StreamedRun, SnapshotError>
+where
+    F: Fn(&mut Ctx) + Send + Sync + 'static,
+{
+    std::fs::create_dir_all(cfg.dir())?;
+    fsck_dir(cfg.dir())?;
+    if let Some(found) = dir_nranks(cfg.dir())? {
+        if found != n {
+            return Err(corrupt(format!(
+                "{} holds a capture of {found} ranks, not {n}",
+                cfg.dir().display()
+            )));
+        }
+    }
+    let mut tracers = Vec::with_capacity(n);
+    for rank in 0..n {
+        let (chain, comms) = walk_chain(cfg.dir(), rank, n, drop)?;
+        tracers.push(Some(StreamingTracer::resume(n, cfg.clone(), &chain, comms)));
+    }
+    run_streaming(
+        world,
+        cfg,
+        |r| tracers[r].take().expect("one tracer per rank"),
+        body,
+    )
+}
+
+/// The tail both run entries share: run with one streaming tracer per rank,
+/// seal every rank's final segment, and reassemble the trace from disk.
+fn run_streaming<MK, F>(
+    world: World,
+    cfg: &StreamConfig,
+    make: MK,
+    body: F,
+) -> Result<StreamedRun, SnapshotError>
+where
+    MK: FnMut(usize) -> StreamingTracer,
+    F: Fn(&mut Ctx) + Send + Sync + 'static,
+{
+    let (result, mut hooks) = world.run_hooked_partial(make, body);
     let mut counters = Vec::with_capacity(hooks.len());
     for h in &mut hooks {
         h.finish()?;
         counters.push(h.counters());
     }
     let (trace, salvage) = salvage_dir(cfg.dir())?;
-    let run = match result {
-        Ok(report) => PartialTracedRun {
-            trace,
-            report: Some(report),
-            error: None,
-        },
-        Err(err) => PartialTracedRun {
-            trace,
-            report: None,
-            error: Some(err),
-        },
-    };
     Ok(StreamedRun {
-        run,
+        run: PartialTracedRun::from_result(trace, result),
         counters,
         salvage,
     })
@@ -739,18 +831,9 @@ fn quarantine_file(path: &Path) -> PathBuf {
     dst
 }
 
-/// Recover everything intact from a stream directory: walk each rank's
-/// segment chain from index 0, verify each segment's checksum, metadata,
-/// and cumulative event count, quarantine the first corrupt file (renamed
-/// `*.quarantined`) and stop that rank's chain there — discarding only what
-/// cannot be verified. Returns the merged prefix trace and a per-rank
-/// report; the same [`PartialTracedRun`] shape as a rank-crash partial
-/// trace, recovered after the fact.
-///
-/// Errors only when the directory is unreadable or holds no intact segment
-/// at all; a torn tail is the *expected* input here, not an error.
-pub fn salvage_dir(dir: &Path) -> Result<(Trace, SalvageReport), SnapshotError> {
-    // World size comes from the first intact segment found.
+/// World size of the capture in `dir`, read from its first intact segment
+/// (`None` when there is none).
+fn dir_nranks(dir: &Path) -> Result<Option<usize>, SnapshotError> {
     let mut names: Vec<String> = Vec::new();
     for entry in std::fs::read_dir(dir)? {
         let entry = entry?;
@@ -761,80 +844,111 @@ pub fn salvage_dir(dir: &Path) -> Result<(Trace, SalvageReport), SnapshotError> 
         }
     }
     names.sort();
-    let mut nranks = None;
-    for name in &names {
-        if let Ok(seg) = std::fs::read(dir.join(name))
-            .map_err(SnapshotError::Io)
-            .and_then(|b| segment_from_bytes(&b))
-        {
-            nranks = Some(seg.nranks);
+    Ok(names.iter().find_map(|name| {
+        std::fs::read(dir.join(name))
+            .ok()
+            .and_then(|b| segment_from_bytes(&b).ok())
+            .map(|seg| seg.nranks)
+    }))
+}
+
+/// Walk `rank`'s segment chain from index 0, handing each verified
+/// segment's nodes to `sink`; returns what was recovered and the union of
+/// the chain's communicator tables (first definition wins). Each segment's
+/// checksum, metadata, and cumulative event count are checked; the first
+/// bad file is quarantined (renamed `*.quarantined`) and ends the chain. A
+/// `last` segment ends it too: anything beyond is stale, left by an
+/// earlier capture into the same directory.
+fn walk_chain(
+    dir: &Path,
+    rank: usize,
+    nranks: usize,
+    mut sink: impl FnMut(Vec<TraceNode>),
+) -> Result<(RankSalvage, CommTable), SnapshotError> {
+    let mut r = RankSalvage {
+        rank,
+        segments: 0,
+        events: 0,
+        complete: false,
+        quarantined: Vec::new(),
+    };
+    let mut comms = CommTable::world(nranks);
+    while !r.complete {
+        let index = r.segments;
+        let path = dir.join(segment_name(rank, index));
+        let bytes = match std::fs::read(&path) {
+            Ok(b) => b,
+            Err(e) if e.kind() == std::io::ErrorKind::NotFound => break,
+            Err(e) => return Err(SnapshotError::Io(e)),
+        };
+        let seg = match segment_from_bytes(&bytes) {
+            Ok(seg) => seg,
+            Err(e) => {
+                r.quarantined.push((quarantine_file(&path), e.to_string()));
+                break;
+            }
+        };
+        if seg.rank != rank || seg.index != index || seg.nranks != nranks {
+            r.quarantined.push((
+                quarantine_file(&path),
+                format!(
+                    "metadata mismatch: file says rank {} seg {} of {}",
+                    seg.rank, seg.index, seg.nranks
+                ),
+            ));
             break;
         }
+        let concrete = r.events
+            + seg
+                .nodes
+                .iter()
+                .map(TraceNode::concrete_event_count)
+                .sum::<u64>();
+        if concrete != seg.events_end {
+            r.quarantined.push((
+                quarantine_file(&path),
+                format!(
+                    "event-count mismatch: chain holds {concrete}, segment declares {}",
+                    seg.events_end
+                ),
+            ));
+            break;
+        }
+        comms.merge(&seg.comms);
+        sink(seg.nodes);
+        r.segments += 1;
+        r.events = concrete;
+        r.complete = seg.last;
     }
-    let Some(nranks) = nranks else {
+    Ok((r, comms))
+}
+
+/// Recover everything intact from a stream directory: walk each rank's
+/// segment chain from index 0 up to its `last` segment, verifying each
+/// segment's checksum, metadata, and cumulative event count; quarantine the
+/// first corrupt file (renamed `*.quarantined`) and stop that rank's chain
+/// there — discarding only what cannot be verified. Returns the merged
+/// prefix trace and a per-rank report; the same [`PartialTracedRun`] shape
+/// as a rank-crash partial trace, recovered after the fact.
+///
+/// Errors only when the directory is unreadable or holds no intact segment
+/// at all; a torn tail is the *expected* input here, not an error.
+pub fn salvage_dir(dir: &Path) -> Result<(Trace, SalvageReport), SnapshotError> {
+    let Some(nranks) = dir_nranks(dir)? else {
         return Err(corrupt(format!(
             "nothing to salvage in {}: no intact segment",
             dir.display()
         )));
     };
-
     let mut ranks = Vec::with_capacity(nranks);
     let mut chains = Vec::with_capacity(nranks);
     let mut comms = CommTable::world(nranks);
     for rank in 0..nranks {
-        let mut r = RankSalvage {
-            rank,
-            segments: 0,
-            events: 0,
-            complete: false,
-            quarantined: Vec::new(),
-        };
         let mut nodes: Vec<TraceNode> = Vec::new();
-        for index in 0.. {
-            let path = dir.join(segment_name(rank, index));
-            let bytes = match std::fs::read(&path) {
-                Ok(b) => b,
-                Err(e) if e.kind() == std::io::ErrorKind::NotFound => break,
-                Err(e) => return Err(SnapshotError::Io(e)),
-            };
-            let seg = match segment_from_bytes(&bytes) {
-                Ok(seg) => seg,
-                Err(e) => {
-                    r.quarantined.push((quarantine_file(&path), e.to_string()));
-                    break;
-                }
-            };
-            if seg.rank != rank || seg.index != index || seg.nranks != nranks {
-                r.quarantined.push((
-                    quarantine_file(&path),
-                    format!(
-                        "metadata mismatch: file says rank {} seg {} of {}",
-                        seg.rank, seg.index, seg.nranks
-                    ),
-                ));
-                break;
-            }
-            let before = nodes.len();
-            nodes.extend(seg.nodes);
-            let concrete: u64 = nodes.iter().map(TraceNode::concrete_event_count).sum();
-            if concrete != seg.events_end {
-                nodes.truncate(before);
-                r.quarantined.push((
-                    quarantine_file(&path),
-                    format!(
-                        "event-count mismatch: chain holds {concrete}, segment declares {}",
-                        seg.events_end
-                    ),
-                ));
-                break;
-            }
-            comms.merge(&seg.comms);
-            r.segments += 1;
-            r.events = concrete;
-            r.complete = seg.last;
-        }
+        let (report, chain_comms) = walk_chain(dir, rank, nranks, |seg| nodes.extend(seg))?;
+        comms.merge(&chain_comms);
         chains.push(nodes);
-        ranks.push(r);
+        ranks.push(report);
     }
     let nodes = merge_sequences(chains, nranks);
     let trace = Trace {
@@ -927,7 +1041,7 @@ pub struct StreamFsckReport {
     pub ok: usize,
     /// Files quarantined (renamed `*.quarantined`), with reasons: corrupt
     /// segments, stranded `*.tmp` partial writes, and intact segments
-    /// stranded beyond a chain gap.
+    /// stranded beyond a chain gap or a chain's `last` segment.
     pub quarantined: Vec<(PathBuf, String)>,
 }
 
@@ -940,11 +1054,13 @@ impl StreamFsckReport {
 
 /// Scan a stream directory: verify every segment's checksum, quarantine
 /// corrupt files, sweep stranded `*.tmp` partial writes into quarantine,
-/// and quarantine intact segments unreachable beyond a chain gap. Salvage
-/// after fsck sees only verified, contiguous chains.
+/// and quarantine intact segments unreachable beyond a chain gap or a
+/// chain's `last` segment. Salvage after fsck sees only verified,
+/// contiguous chains.
 pub fn fsck_dir(dir: &Path) -> Result<StreamFsckReport, SnapshotError> {
     let mut report = StreamFsckReport::default();
-    let mut intact: std::collections::BTreeMap<usize, Vec<u64>> = std::collections::BTreeMap::new();
+    let mut intact: std::collections::BTreeMap<usize, Vec<(u64, bool)>> =
+        std::collections::BTreeMap::new();
     for entry in std::fs::read_dir(dir)? {
         let entry = entry?;
         let path = entry.path();
@@ -974,8 +1090,8 @@ pub fn fsck_dir(dir: &Path) -> Result<StreamFsckReport, SnapshotError> {
                     ),
                 ));
             }
-            Ok(_) => {
-                intact.entry(rank).or_default().push(index);
+            Ok(seg) => {
+                intact.entry(rank).or_default().push((index, seg.last));
             }
             Err(e) => {
                 report
@@ -984,23 +1100,29 @@ pub fn fsck_dir(dir: &Path) -> Result<StreamFsckReport, SnapshotError> {
             }
         }
     }
-    // Chain contiguity: an intact segment beyond the first gap is
-    // unreachable by salvage — quarantine it so the directory never holds
-    // silently dead data.
-    for (rank, mut indexes) in intact {
-        indexes.sort_unstable();
+    // Chain contiguity: an intact segment beyond the first gap or beyond a
+    // `last` segment is unreachable by salvage — quarantine it so the
+    // directory never holds silently dead data.
+    for (rank, mut segs) in intact {
+        segs.sort_unstable();
         let mut expected = 0u64;
-        for index in indexes {
-            if index == expected {
+        let mut ended = false;
+        for (index, last) in segs {
+            let why = if ended {
+                format!(
+                    "stranded beyond the chain's last segment (seg {})",
+                    expected - 1
+                )
+            } else if index != expected {
+                format!("stranded beyond chain gap (expected seg {expected})")
+            } else {
                 report.ok += 1;
                 expected += 1;
-            } else {
-                let path = dir.join(segment_name(rank, index));
-                report.quarantined.push((
-                    quarantine_file(&path),
-                    format!("stranded beyond chain gap (expected seg {expected})"),
-                ));
-            }
+                ended = last;
+                continue;
+            };
+            let path = dir.join(segment_name(rank, index));
+            report.quarantined.push((quarantine_file(&path), why));
         }
     }
     Ok(report)
@@ -1163,6 +1285,62 @@ mod tests {
             .unwrap()
             .trace;
         assert!(segment_from_bytes(&trace_to_bytes(&t)).is_err());
+    }
+
+    #[test]
+    fn wrong_version_is_rejected() {
+        let t = trace_world(World::new(2).network(network::ideal()), 2, app(4))
+            .unwrap()
+            .trace;
+        let mut bytes = trace_to_bytes(&t);
+        bytes[MAGIC.len()] = 99; // the version follows the magic
+                                 // fix up the checksum so only the version is wrong
+        let body_len = bytes.len() - 8;
+        let mut h = Fnv1a::new();
+        h.write(&bytes[..body_len]);
+        bytes[body_len..].copy_from_slice(&h.finish().to_le_bytes());
+        let err = trace_from_bytes(&bytes).expect_err("wrong version must not decode");
+        assert!(err.to_string().contains("version"), "{err}");
+        let err = trace_from_bytes(&bytes[..10]).expect_err("truncated frame");
+        assert_eq!(
+            err.to_string(),
+            "corrupt STBS data: file shorter than frame"
+        );
+    }
+
+    #[test]
+    fn a_chain_ends_at_its_last_segment() {
+        // A long capture, then a short one into the same directory: the
+        // short run's single `last` segment ends each rank's chain, and the
+        // long run's segments beyond it are stale — salvage never reads
+        // them and fsck quarantines them.
+        let dir = temp_dir("stale");
+        let capture = |budget| {
+            let cfg = StreamConfig::new(&dir, budget).with_max_window(1);
+            trace_world_streamed(
+                World::new(2).network(network::ideal()),
+                2,
+                &cfg,
+                unfoldable_app(60),
+            )
+            .expect("streamed capture")
+        };
+        let long = capture(12);
+        let stale = long.salvage.ranks[0].segments;
+        assert!(stale > 2, "the long capture seals a multi-segment chain");
+        let short = capture(100_000);
+        assert_eq!(short.salvage.quarantined(), 0, "{}", short.salvage);
+        assert!(short.salvage.complete());
+        assert_eq!(short.salvage.segments(), 2);
+        assert_eq!(to_text(&short.run.trace), to_text(&long.run.trace));
+        let fsck = fsck_dir(&dir).expect("fsck");
+        assert_eq!(fsck.ok, 2);
+        assert_eq!(fsck.quarantined.len() as u64, 2 * (stale - 1));
+        assert!(fsck
+            .quarantined
+            .iter()
+            .all(|(_, why)| why.contains("beyond the chain's last segment")));
+        assert!(fsck_dir(&dir).expect("fsck twice").clean());
     }
 
     #[test]

@@ -185,7 +185,7 @@ impl TimeStats {
     /// The exact internal fields `(count, sum_ns, min_ns, max_ns, bins)`.
     ///
     /// The text rendering of a histogram is lossy (it keeps only count and
-    /// mean); checkpoints are not allowed to be, so the snapshot codec
+    /// mean); STBS files are not allowed to be, so the node codec
     /// serialises these fields verbatim and rebuilds via
     /// [`TimeStats::from_raw`].
     pub fn raw(&self) -> (u64, u128, u64, u64, &[u64; BINS]) {

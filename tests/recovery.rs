@@ -1,7 +1,7 @@
 //! Crash/recovery end-to-end tests: SIGKILL a live campaign and prove that
 //! `commbench resume` converges to the uninterrupted run's outcomes, that
 //! `commbench fsck` quarantines cache corruption which the next run then
-//! regenerates, and that checkpoint-resumed traces carry the same mpiP
+//! regenerates, and that resumed streaming captures carry the same mpiP
 //! profile as never-crashed ones.
 
 use std::path::{Path, PathBuf};
@@ -550,18 +550,16 @@ fn server_restart_honors_the_last_finished_record() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// The deferred half of the checkpoint round-trip property: beyond
-/// byte-identical trace text (proven in scalatrace's own tests), the
-/// resumed trace must induce the *same mpiP profile* — the artifact the
-/// paper's E1 verification consumes.
+/// The end-to-end half of the resume property: beyond byte-identical
+/// trace text (proven in scalatrace's own differential tests), a capture
+/// resumed from its STBS segments must induce the *same mpiP profile* —
+/// the artifact the paper's E1 verification consumes.
 #[test]
-fn checkpoint_resume_preserves_the_mpip_profile() {
+fn stream_resume_preserves_the_mpip_profile() {
     use benchgen::verify::profile_of_trace;
     use mpisim::faults::FaultPlan;
     use mpisim::world::World;
-    use scalatrace::{
-        trace_world, trace_world_checkpointed, trace_world_resumed, CheckpointConfig,
-    };
+    use scalatrace::{trace_world_resumed, trace_world_streamed, StreamConfig};
 
     const N: usize = 4;
     let app = |ctx: &mut mpisim::Ctx| {
@@ -581,25 +579,29 @@ fn checkpoint_resume_preserves_the_mpip_profile() {
         }
     };
 
-    let full = trace_world(World::new(N), N, app).unwrap();
+    // A small fold window keeps the budget small enough that every rank
+    // seals several segments before the crash.
+    let root = temp_dir("profile");
+    let cfg = |name: &str| StreamConfig::new(root.join(name), 0).with_max_window(2);
+    let full = trace_world_streamed(World::new(N), N, &cfg("full"), app).unwrap();
+    assert!(full.run.completed());
 
-    let dir = temp_dir("profile").join("ckpt");
-    let cfg = CheckpointConfig::new(&dir, 3);
-    let crashed = trace_world_checkpointed(
+    let crashed = trace_world_streamed(
         World::new(N).faults(FaultPlan::seeded(3).crash_rank(1, 9)),
         N,
-        &cfg,
+        &cfg("resumed"),
         app,
     )
     .unwrap();
-    assert!(!crashed.completed(), "the crash must fire");
+    assert!(!crashed.run.completed(), "the crash must fire");
+    assert!(crashed.salvage.segments() > N as u64, "{}", crashed.salvage);
 
-    let resumed = trace_world_resumed(World::new(N), N, &cfg, app).unwrap();
-    assert!(resumed.completed());
+    let resumed = trace_world_resumed(World::new(N), N, &cfg("resumed"), app).unwrap();
+    assert!(resumed.run.completed());
 
-    let prof_full: Vec<_> = profile_of_trace(&full.trace).routines().collect();
-    let prof_resumed: Vec<_> = profile_of_trace(&resumed.trace).routines().collect();
+    let prof_full: Vec<_> = profile_of_trace(&full.run.trace).routines().collect();
+    let prof_resumed: Vec<_> = profile_of_trace(&resumed.run.trace).routines().collect();
     assert_eq!(prof_full, prof_resumed, "mpiP profiles must be identical");
     assert!(!prof_full.is_empty());
-    let _ = std::fs::remove_dir_all(dir.parent().unwrap());
+    let _ = std::fs::remove_dir_all(&root);
 }

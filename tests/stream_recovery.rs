@@ -2,7 +2,9 @@
 //! salvage the segment directory and check that every recovered segment is
 //! byte-identical to the same segment of an uninterrupted run — the
 //! salvaged trace is exactly the uninterrupted capture truncated at the
-//! last sealed segment, never silently different.
+//! last sealed segment, never silently different — and that resuming the
+//! killed capture from its segments completes it to the uninterrupted
+//! run's files, byte for byte.
 //!
 //! The capture runs with `--max-window 1` so the ring pattern never folds:
 //! segment chains grow monotonically and are never reloaded, which makes
@@ -165,6 +167,33 @@ fn sigkilled_capture_salvages_a_byte_identical_prefix() {
         "second fsck must be clean: {}",
         String::from_utf8_lossy(&out.stdout)
     );
+
+    // Resume: re-run the same app (as `capture` configures it) from the
+    // killed run's segments. Every rank continues its chain, and the
+    // directory ends up holding exactly the uninterrupted run's segments.
+    let ring = miniapps::registry::lookup("ring").unwrap().run;
+    let params = miniapps::AppParams {
+        class: miniapps::Class::S,
+        iterations: Some(120),
+        compute_scale: 1.0,
+    };
+    let resumed = scalatrace::trace_world_resumed(
+        mpisim::world::World::new(4).network(mpisim::network::ideal()),
+        4,
+        &scalatrace::StreamConfig::new(&kill_dir, 64).with_max_window(1),
+        move |ctx| ring(ctx, &params),
+    )
+    .expect("resume");
+    assert!(resumed.run.completed(), "{:?}", resumed.run.error);
+    assert!(resumed.salvage.complete(), "{}", resumed.salvage);
+    assert_eq!(segment_files(&kill_dir), full_segments);
+    for name in &full_segments {
+        assert!(
+            std::fs::read(kill_dir.join(name)).unwrap()
+                == std::fs::read(full_dir.join(name)).unwrap(),
+            "{name}: resumed segment differs from the uninterrupted run"
+        );
+    }
 
     let _ = std::fs::remove_dir_all(&full_dir);
     let _ = std::fs::remove_dir_all(&kill_dir);
