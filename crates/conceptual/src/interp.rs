@@ -35,7 +35,7 @@
 use crate::analyze::{expand_runs, validate};
 use crate::ast::*;
 use mpisim::comm::Comm;
-use mpisim::ctx::Ctx;
+use mpisim::ctx::{Ctx, MAX_DEFERRED};
 use mpisim::error::SimError;
 use mpisim::hooks::Hook;
 use mpisim::network::NetworkModel;
@@ -174,11 +174,11 @@ pub fn run_rank_logged(ctx: &mut Ctx, program: &Program) -> Vec<LogEntry> {
     machine.logs
 }
 
-/// A task ships its deferred MPI calls once this many are queued. The
-/// engine issues a batch one op per round whatever its size, so larger
-/// batches save little and cost memory: each queued op is held by the
-/// task, the engine and the reply mailbox at once.
-const MAX_DEFERRED: usize = 4;
+// A task ships its deferred MPI calls at `mpisim::ctx::MAX_DEFERRED`, the
+// cap every rank shares; the engine issues a shipment one op per round, so
+// the cap moves no virtual time. The mpiP call sites of a generated
+// benchmark are lines of this file, so adding or removing a line above a
+// `ctx` call changes the benchmark's profile.
 
 /// What every task of one run shares: the program, and its ad-hoc
 /// collective member sets resolved once.

@@ -25,6 +25,15 @@
 //!   replay — here compute is virtual time, so the equivalent stress is
 //!   large `compute` fractions.
 //!
+//! A skeleton that discards a call's result uses the `_deferred` variant
+//! ([`Ctx::recv_deferred`], [`Ctx::waitall_deferred`]). It records the
+//! same blocking `MPI_Recv`/`MPI_Waitall` event at the same virtual time,
+//! but it joins the rank's queue of deferred calls instead of forcing a
+//! round trip to the engine. So a skeleton that reads no reply ships its
+//! calls in batches of up to [`mpisim::ctx::MAX_DEFERRED`], one host
+//! handoff each. Calls whose result is used stay blocking, such as CG's
+//! `comm_split`s.
+//!
 //! Problem classes follow the NPB naming (S, W, A, B, C) with sizes taken
 //! from the published class tables; iteration counts are scaled down by a
 //! fixed per-app factor (documented in each module) so that simulations

@@ -26,6 +26,15 @@ use std::sync::Arc;
 /// side of the channel simply disappeared.
 pub struct SimAbort(pub Option<SimError>);
 
+/// A rank ships its deferred calls once this many are queued, so a rank
+/// that never makes a value-returning call still holds a bounded queue.
+/// The engine issues a shipment one op per round whatever its size, so the
+/// cap moves no virtual time; it trades host handoffs against the memory
+/// of queued ops and their pending hook events. A rank thread applies it
+/// inside every deferring call; a [`crate::driver::RankMachine`] applies
+/// it at its own yield points.
+pub const MAX_DEFERRED: usize = 256;
+
 /// A hook event deferred until its operation's reply arrives (op batching).
 /// The stack signature is captured at call time — the region stack may have
 /// changed by the time the batch is flushed.
@@ -42,17 +51,15 @@ struct PendingEv {
 
 /// Where a rank's requests go and where its replies come from.
 enum Port {
-    /// A rank thread: requests over the shared channel, replies over its own.
+    /// A rank thread: requests over the shared channel, each shipment's
+    /// replies as one message over its own.
     Thread {
         tx: Sender<Request>,
-        rx: Receiver<Reply>,
+        rx: Receiver<Vec<Reply>>,
     },
     /// A rank the engine drives inline ([`crate::driver`]): the driver
-    /// collects the shipped op from `out` and fills `mailbox` with replies.
-    Inline {
-        out: Option<Op>,
-        mailbox: VecDeque<Reply>,
-    },
+    /// collects the shipped op from `out` and fills the mailbox itself.
+    Inline { out: Option<Op> },
 }
 
 /// Per-rank execution context.
@@ -61,6 +68,8 @@ pub struct Ctx {
     n: usize,
     world: Comm,
     port: Port,
+    /// Replies received and not yet drained, oldest first.
+    mailbox: VecDeque<Reply>,
     clock: SimTime,
     hook: Option<Box<dyn Hook>>,
     regions: Vec<&'static str>,
@@ -92,7 +101,7 @@ impl Ctx {
     pub(crate) fn threaded(
         world: Comm,
         tx: Sender<Request>,
-        rx: Receiver<Reply>,
+        rx: Receiver<Vec<Reply>>,
         hook: Option<Box<dyn Hook>>,
         batching: bool,
     ) -> Ctx {
@@ -102,11 +111,7 @@ impl Ctx {
     /// The context of a rank the engine drives inline. Inline ranks cannot
     /// block, so they always batch.
     pub(crate) fn inline(world: Comm, hook: Option<Box<dyn Hook>>) -> Ctx {
-        let port = Port::Inline {
-            out: None,
-            mailbox: VecDeque::new(),
-        };
-        Ctx::new(world, port, hook, true)
+        Ctx::new(world, Port::Inline { out: None }, hook, true)
     }
 
     fn new(world: Comm, port: Port, hook: Option<Box<dyn Hook>>, batching: bool) -> Ctx {
@@ -115,6 +120,7 @@ impl Ctx {
             n: world.size,
             world,
             port,
+            mailbox: VecDeque::new(),
             clock: SimTime::ZERO,
             hook,
             regions: Vec::new(),
@@ -157,6 +163,7 @@ impl Ctx {
             return;
         }
         if self.batching {
+            self.make_room(1);
             self.queue.push((Op::Compute(d), None));
             return;
         }
@@ -188,7 +195,7 @@ impl Ctx {
         };
         if self.batching {
             let h = self.predict_handle();
-            self.defer(op, kind, site, 0);
+            self.defer(op, kind, site);
             return h;
         }
         let t_enter = self.clock;
@@ -218,7 +225,7 @@ impl Ctx {
         };
         if self.batching {
             let h = self.predict_handle();
-            self.defer(op, kind, site, 0);
+            self.defer(op, kind, site);
             return h;
         }
         let t_enter = self.clock;
@@ -240,22 +247,18 @@ impl Ctx {
             blocking: true,
         };
         if self.batching {
-            let h = self.predict_handle();
-            self.queue.push((
-                Op::ISend {
-                    to: abs,
-                    tag,
-                    bytes,
-                    comm: comm.id,
-                },
-                None,
-            ));
+            let isend = Op::ISend {
+                to: abs,
+                tag,
+                bytes,
+                comm: comm.id,
+            };
             // The wait returns nothing the caller can observe, so it rides
             // the batch too: a run of blocking sends crosses the baton once,
             // at the next value-returning call. The engine replays the batch
             // sequentially, so rendezvous blocking happens at the same
             // virtual time as an unbatched run.
-            self.defer(Op::Wait { reqs: vec![h.0] }, kind, site, 1);
+            self.defer_blocking(isend, kind, site);
             return;
         }
         let t_enter = self.clock;
@@ -441,7 +444,7 @@ impl Ctx {
         let site = caller();
         let op = split_op(comm, color, key);
         if self.batching {
-            self.defer(op, split_event(comm), site, 0);
+            self.defer(op, split_event(comm), site);
             let _ = self.flush();
             return self
                 .split
@@ -518,7 +521,7 @@ impl Ctx {
         }
         let reqs = hs.iter().map(|h| h.0).collect();
         let kind = EventKind::Wait { count: hs.len() };
-        self.defer(Op::Wait { reqs }, kind, caller(), 0);
+        self.defer(Op::Wait { reqs }, kind, caller());
     }
 
     /// [`Ctx::comm_split`] whose communicator the caller collects with
@@ -530,7 +533,7 @@ impl Ctx {
             return;
         }
         let op = split_op(comm, color, key);
-        self.defer(op, split_event(comm), caller(), 0);
+        self.defer(op, split_event(comm), caller());
     }
 
     /// Ship every deferred op to the engine in one request, without waiting
@@ -569,8 +572,7 @@ impl Ctx {
 
     // -- internals ----------------------------------------------------------------
 
-    /// Queue a blocking receive: an irecv entry, then a wait entry carrying
-    /// the `MPI_Recv` event anchored to the irecv's enter time.
+    /// Queue a blocking receive as an irecv and the wait on it.
     fn defer_recv(
         &mut self,
         from: Src,
@@ -580,15 +582,35 @@ impl Ctx {
         kind: EventKind,
         site: CallSite,
     ) {
-        let h = self.predict_handle();
         let irecv = Op::IRecv {
             from,
             tag,
             bytes,
             comm,
         };
-        self.queue.push((irecv, None));
-        self.defer(Op::Wait { reqs: vec![h.0] }, kind, site, 1);
+        self.defer_blocking(irecv, kind, site);
+    }
+
+    /// Queue a blocking point-to-point call: its nonblocking `start` entry,
+    /// then a wait entry carrying the call's event anchored to the start's
+    /// enter time. Both go into one shipment.
+    fn defer_blocking(&mut self, start: Op, kind: EventKind, site: CallSite) {
+        self.make_room(2);
+        let h = self.predict_handle();
+        self.queue.push((start, None));
+        let ev = self.mk_ev(kind, site, 1);
+        self.queue.push((Op::Wait { reqs: vec![h.0] }, ev));
+    }
+
+    /// Keep a rank thread's queue below [`MAX_DEFERRED`]: ship what is
+    /// queued, and settle it, when `entries` more would reach the cap.
+    /// Checked before a call queues its entries, so one call's entries
+    /// never straddle two shipments. An inline rank cannot block here; its
+    /// machine ships at its own yield points.
+    fn make_room(&mut self, entries: usize) {
+        if self.queue.len() + entries >= MAX_DEFERRED && matches!(self.port, Port::Thread { .. }) {
+            self.flush();
+        }
     }
 
     fn translate_src(&self, from: Src, comm: &Comm) -> Src {
@@ -623,7 +645,7 @@ impl Ctx {
             // Collectives reply with nothing but a clock, so they defer like
             // blocking sends: rank synchronisation is a virtual-time affair
             // the engine enforces whenever the op ships.
-            self.defer(op, ev_kind, site, 0);
+            self.defer(op, ev_kind, site);
             return;
         }
         let t_enter = self.clock;
@@ -683,9 +705,10 @@ impl Ctx {
         ReqHandle(self.next_handle)
     }
 
-    /// Queue a nonblocking op together with its deferred hook event.
-    fn defer(&mut self, op: Op, kind: EventKind, callsite: CallSite, span: usize) {
-        let ev = self.mk_ev(kind, callsite, span);
+    /// Queue an op together with its deferred hook event.
+    fn defer(&mut self, op: Op, kind: EventKind, callsite: CallSite) {
+        self.make_room(1);
+        let ev = self.mk_ev(kind, callsite, 0);
         self.queue.push((op, ev));
     }
 
@@ -819,11 +842,13 @@ impl Ctx {
     /// The next reply, or why there is none: the engine's fatal error, or
     /// `None` when the engine is gone.
     fn next_reply(&mut self) -> Result<Reply, Option<SimError>> {
-        let reply = match &mut self.port {
-            Port::Thread { rx, .. } => rx.recv().map_err(|_| None)?,
-            Port::Inline { mailbox, .. } => mailbox.pop_front().ok_or(None)?,
-        };
-        match reply {
+        if self.mailbox.is_empty() {
+            if let Port::Thread { rx, .. } = &self.port {
+                let replies = rx.recv().map_err(|_| None)?;
+                self.mailbox.extend(replies);
+            }
+        }
+        match self.mailbox.pop_front().ok_or(None)? {
             Reply::Fatal(err) => Err(Some(err)),
             reply => Ok(reply),
         }
@@ -934,10 +959,7 @@ impl Ctx {
 
     /// Inline port: queue an engine reply in the mailbox.
     pub(crate) fn deliver(&mut self, reply: Reply) {
-        match &mut self.port {
-            Port::Inline { mailbox, .. } => mailbox.push_back(reply),
-            Port::Thread { .. } => unreachable!("threaded ranks receive over their channel"),
-        }
+        self.mailbox.push_back(reply);
     }
 
     /// Inline port: the request shipped since the last call.

@@ -5,12 +5,18 @@
 //! hands each reply back through the same driver. Two drivers exist:
 //!
 //! * [`Threads`] runs every rank body as an OS thread. A rank ships its
-//!   requests over one shared channel and blocks on its own reply channel.
-//!   This is the path of Rust-closure rank programs ([`crate::World::run`]).
+//!   requests over one shared channel. The driver buffers the rank's
+//!   replies and hands them over in one message when the engine wakes the
+//!   rank, so a shipment costs one host handoff each way however many ops
+//!   it carries. This is the path of Rust-closure rank programs
+//!   ([`crate::World::run`]).
 //! * [`Inline`] runs [`RankMachine`]s on the engine's own thread. A reply
 //!   lands in the rank's mailbox; when the rank has every reply it waits
 //!   for, the driver resumes its machine until the machine ships its next
 //!   request. No threads, no channels, no locks.
+//!
+//! Under both, a rank's replies reach the same mailbox in its [`Ctx`], and
+//! the engine wakes a rank only once it has replied to the whole shipment.
 //!
 //! The schedule is the same under both. The engine issues the operations
 //! that arrived during a quiescence phase in `(virtual clock, rank)` order,
@@ -48,19 +54,55 @@ pub(crate) trait Driver {
 
 /// One OS thread per rank, joined to the engine by channels.
 pub(crate) struct Threads {
-    pub(crate) requests: Receiver<Request>,
-    pub(crate) replies: Vec<Sender<Reply>>,
+    requests: Receiver<Request>,
+    replies: Vec<Sender<Vec<Reply>>>,
+    /// Per rank: the replies produced since its last wake.
+    buffered: Vec<Vec<Reply>>,
+}
+
+impl Threads {
+    pub(crate) fn new(requests: Receiver<Request>, replies: Vec<Sender<Vec<Reply>>>) -> Threads {
+        let buffered = replies.iter().map(|_| Vec::new()).collect();
+        Threads {
+            requests,
+            replies,
+            buffered,
+        }
+    }
+
+    /// Hand `rank` every reply buffered for it, in one message.
+    fn release(&mut self, rank: Rank) {
+        let replies = std::mem::take(&mut self.buffered[rank]);
+        if !replies.is_empty() {
+            // A send failure means the rank thread died; the next request
+            // drain surfaces the problem.
+            let _ = self.replies[rank].send(replies);
+        }
+    }
+
+    /// Hand every rank what is buffered for it. Called once the engine has
+    /// returned: a rank that exited, or that the run ended under, is never
+    /// woken again, yet it waits for the replies of its last shipment.
+    pub(crate) fn release_all(&mut self) {
+        for rank in 0..self.buffered.len() {
+            self.release(rank);
+        }
+    }
 }
 
 impl Driver for Threads {
     fn deliver(&mut self, rank: Rank, reply: Reply) {
-        // A send failure means the rank thread died; the next request
-        // drain surfaces the problem.
-        let _ = self.replies[rank].send(reply);
+        let fatal = matches!(reply, Reply::Fatal(_));
+        self.buffered[rank].push(reply);
+        if fatal {
+            // A fatal reply ends the rank's shipment early, and the engine
+            // never wakes a rank it has failed.
+            self.release(rank);
+        }
     }
 
-    fn wake(&mut self, _rank: Rank) {
-        // The rank thread wakes itself on its reply channel.
+    fn wake(&mut self, rank: Rank) {
+        self.release(rank);
     }
 
     fn next_request(&mut self) -> Result<Request, SimError> {

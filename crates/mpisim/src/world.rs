@@ -110,10 +110,13 @@ impl World {
 
     /// Enable or disable client-side op batching (on by default). When on,
     /// every call whose reply the rank cannot observe — nonblocking ops,
-    /// computes, blocking sends, void collectives — is deferred and crosses
-    /// the rank→engine channel as one batch at the next value-returning
-    /// call, instead of one handoff per op. Virtual times, schedules, hook
-    /// events, and reports are identical either way; only host-side
+    /// computes, blocking sends, void collectives, and the `_deferred`
+    /// calls — is queued and shipped to the engine as one batch at the
+    /// next value-returning call, at rank exit, or once
+    /// [`crate::ctx::MAX_DEFERRED`] ops are queued; the batch's replies
+    /// come back as one message. When off, every call is its own shipment
+    /// and a `_deferred` call blocks at once. Virtual times, schedules,
+    /// hook events, and reports are identical either way; only host-side
     /// synchronisation overhead changes.
     pub fn op_batching(mut self, enabled: bool) -> World {
         self.op_batching = enabled;
@@ -121,7 +124,10 @@ impl World {
     }
 
     /// Run `body` on every rank, each rank on its own OS thread, without
-    /// interposition hooks.
+    /// interposition hooks. A rank thread hands the engine a shipment of
+    /// queued calls (see [`World::op_batching`]) and gets all of its
+    /// replies back in one message, so a run costs one host handoff each
+    /// way per shipment, not per call.
     pub fn run<F>(self, body: F) -> Result<RunReport, SimError>
     where
         F: Fn(&mut Ctx) + Send + Sync + 'static,
@@ -290,7 +296,7 @@ impl World {
         let mut reply_txs = Vec::with_capacity(n);
         let mut threads = Vec::with_capacity(n);
         for rank in 0..n {
-            let (reply_tx, reply_rx) = mpsc::channel::<Reply>();
+            let (reply_tx, reply_rx) = mpsc::channel::<Vec<Reply>>();
             reply_txs.push(reply_tx);
             let hook = mk(rank);
             let body = Arc::clone(&body);
@@ -321,13 +327,10 @@ impl World {
         }
         drop(req_tx);
 
-        let driver = Threads {
-            requests: req_rx,
-            replies: reply_txs,
-        };
         // The driver (and with it the request channel) lives until every
         // rank thread has been joined.
-        let (result, _driver) = self.simulate(plan, model, driver);
+        let (result, mut driver) = self.simulate(plan, model, Threads::new(req_rx, reply_txs));
+        driver.release_all();
 
         let mut hooks = Vec::new();
         for t in threads {

@@ -83,10 +83,13 @@ fn count_events(log: &Path, event: &str) -> usize {
 }
 
 /// Serialised matrix: one worker, several independent jobs, so a kill
-/// mid-run reliably leaves later jobs unfinished.
+/// mid-run reliably leaves later jobs unfinished. The rank counts keep the
+/// uninterrupted run well above the kill loop's 20 ms poll (~0.6 s in a
+/// release build on a 2-vCPU guest); at 4 and 8 ranks the whole campaign
+/// could finish between two polls.
 const RECOVERY_MATRIX: &str = "
     apps     = ring, cg, ep, lu
-    ranks    = 4, 8
+    ranks    = 128, 256
     classes  = S
     networks = ideal
     workers  = 1
