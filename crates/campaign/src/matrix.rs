@@ -61,11 +61,6 @@ pub struct JobSpec {
     pub iterations: Option<usize>,
     /// Seeded chaos perturbations to run after verification (0 = off).
     pub chaos_seeds: usize,
-    /// Pool width for the intra-job analysis stages (merge, alignment,
-    /// wildcard resolution); 1 = hard sequential. Thread count never
-    /// changes any stage's output, so this lives in
-    /// [`Self::config_pairs`] only and trace-cache keys are unaffected.
-    pub pipeline_threads: usize,
 }
 
 impl JobSpec {
@@ -104,7 +99,9 @@ impl JobSpec {
         pairs.push(("resolve".into(), self.resolve.to_string()));
         pairs.push(("comments".into(), self.comments.to_string()));
         pairs.push(("chaos_seeds".into(), self.chaos_seeds.to_string()));
-        pairs.push(("pipeline_threads".into(), self.pipeline_threads.to_string()));
+        // The analysis stages no longer take a width. The constant pair
+        // keeps job ids in journals and `report.txt` stable.
+        pairs.push(("pipeline_threads".into(), "1".into()));
         pairs
     }
 
@@ -149,11 +146,6 @@ pub struct CampaignSpec {
     /// matrix dimension like `ranks` or `classes`, so a single matrix can
     /// sweep fault depth across workload classes.
     pub chaos_seeds: Vec<usize>,
-    /// Pool width for the intra-job analysis stages of every job (see
-    /// [`JobSpec::pipeline_threads`]). Composes with `workers`: total
-    /// thread demand is `workers * pipeline_threads`, and the runner warns
-    /// in telemetry when that exceeds twice the core count.
-    pub pipeline_threads: usize,
     /// Worker threads in the fleet.
     pub workers: usize,
     /// Per-attempt wall-clock budget in seconds.
@@ -175,7 +167,6 @@ impl Default for CampaignSpec {
             compute_scale: 1.0,
             iterations: None,
             chaos_seeds: vec![0],
-            pipeline_threads: 1,
             workers: 4,
             timeout_secs: 60,
             retries: 1,
@@ -278,11 +269,6 @@ impl CampaignSpec {
                         })
                         .collect::<Result<_, _>>()?
                 }
-                "pipeline_threads" => {
-                    spec.pipeline_threads = value
-                        .parse::<usize>()
-                        .map_err(|e| at(format!("bad pipeline_threads: {e}")))?
-                }
                 "workers" => {
                     spec.workers = value
                         .parse::<usize>()
@@ -320,9 +306,6 @@ impl CampaignSpec {
         }
         if self.workers == 0 {
             return Err("workers must be at least 1".to_string());
-        }
-        if self.pipeline_threads == 0 {
-            return Err("pipeline_threads must be at least 1".to_string());
         }
         for app in &self.apps {
             if !is_injected(app) && registry::lookup(app).is_none() {
@@ -366,7 +349,6 @@ impl CampaignSpec {
                                 compute_scale: self.compute_scale,
                                 iterations: self.iterations,
                                 chaos_seeds,
-                                pipeline_threads: self.pipeline_threads,
                             });
                         }
                     }
@@ -502,20 +484,14 @@ mod tests {
     }
 
     #[test]
-    fn pipeline_threads_parses_and_never_splits_the_trace_cache() {
-        let spec = CampaignSpec::parse("apps = ring\nranks = 4\npipeline_threads = 8\nworkers = 2")
-            .unwrap();
-        assert_eq!(spec.pipeline_threads, 8);
-        let (jobs, _) = spec.expand();
-        assert!(jobs.iter().all(|j| j.pipeline_threads == 8));
-        // Thread count never changes a stage's output, so it must not split
-        // the trace cache — only the job identity.
-        let mut sequential = jobs[0].clone();
-        sequential.pipeline_threads = 1;
-        assert_eq!(jobs[0].trace_key(), sequential.trace_key());
-        assert_ne!(jobs[0].id(), sequential.id());
-        assert!(CampaignSpec::parse("apps = ring\nranks = 4\npipeline_threads = 0").is_err());
-        assert!(CampaignSpec::parse("apps = ring\nranks = 4\npipeline_threads = four").is_err());
+    fn job_ids_match_those_recorded_before_the_width_key_was_dropped() {
+        // Journals and `report.txt` name jobs by id; this one was recorded
+        // while `pipeline_threads` was still a matrix key (default 1).
+        let (jobs, _) = CampaignSpec::parse("apps = ring\nranks = 4")
+            .unwrap()
+            .expand();
+        assert_eq!(jobs[0].id(), "ring.n4.S.ideal.0586e6a8");
+        assert!(CampaignSpec::parse("apps = ring\nranks = 4\npipeline_threads = 1").is_err());
     }
 
     #[test]

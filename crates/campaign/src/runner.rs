@@ -13,7 +13,6 @@ use benchgen::verify::{compare_profiles, expected_profile, profile_of_trace};
 use benchgen::{generate, GenOptions};
 use conceptual::interp::{run_program_hooked, RunError};
 use miniapps::{registry, App, AppParams};
-use mpisim::network::NetworkModel;
 use mpisim::profile::MpiP;
 use mpisim::time::SimTime;
 use mpisim::world::World;
@@ -215,14 +214,6 @@ impl std::fmt::Display for CampaignReport {
     }
 }
 
-fn model_of(name: &str) -> Arc<dyn NetworkModel> {
-    match name {
-        "bgl" => network::blue_gene_l(),
-        "ethernet" => network::ethernet_cluster(),
-        _ => network::ideal(),
-    }
-}
-
 fn params_of(job: &JobSpec) -> AppParams {
     AppParams {
         class: job.class,
@@ -268,7 +259,8 @@ fn run_one(
     telemetry: &Telemetry,
 ) -> Result<JobOutput, JobError> {
     let app = resolve_app(job, attempt)?;
-    let model = model_of(&job.network);
+    let model = network::by_name(&job.network)
+        .ok_or_else(|| JobError::fatal(format!("unknown network {}", job.network)))?;
     let trace_key = job.trace_key();
 
     // 1. Trace: cache hit, or run the application and fill the cache.
@@ -320,7 +312,7 @@ fn run_one(
 
     // 3. Execute the generated benchmark under an mpiP hook: one run yields
     //    both T_gen and the profile for E1.
-    let world = World::new(job.ranks).network(model);
+    let world = World::new(job.ranks).network(Arc::clone(&model));
     let (outcome, hooks) = run_program_hooked(&generated.program, world, |_| MpiP::new());
     let t_gen = outcome
         .map_err(|e| match e {
@@ -351,7 +343,7 @@ fn run_one(
         let report = chaos::differential(
             &trace,
             job.ranks,
-            model_of(&job.network),
+            model,
             move |ctx| run(ctx, &params),
             &plans,
         )
@@ -562,13 +554,6 @@ pub fn resume_campaign(
     }
 }
 
-/// Does `workers * pipeline_threads` exceed the 2x-cores oversubscription
-/// threshold? Only an explicit width (> 1) triggers the warning — the
-/// default defers to the ambient `par` configuration.
-fn oversubscribed(workers: usize, pipeline_threads: usize, cores: usize) -> bool {
-    pipeline_threads > 1 && workers * pipeline_threads > 2 * cores
-}
-
 /// Run an explicit job list on the fleet (the matrix-free entry point used
 /// by `commbench chaos`, which builds its own jobs over the registry).
 pub fn run_jobs(
@@ -585,34 +570,6 @@ pub fn run_jobs(
     for job in &jobs {
         telemetry.emit("queued", &job_fields(job));
     }
-
-    // Apply the jobs' analysis pool width (merge / alignment / wildcard
-    // resolution) for the fleet's duration. The matrix expands one value to
-    // every job; for hand-built job lists the widest wins. Thread count
-    // never changes any stage's output, so this is purely a resource knob:
-    // total demand is workers * pipeline_threads, and exceeding twice the
-    // core count is worth a telemetry warning before the run drowns in
-    // context switches. The default (1) leaves the ambient width —
-    // COMMSPEC_THREADS or the core count — untouched.
-    let pipeline_threads = jobs.iter().map(|j| j.pipeline_threads).max().unwrap_or(1);
-    let _threads_guard = (pipeline_threads > 1).then(|| {
-        let cores = par::available_cores();
-        if oversubscribed(fleet.workers, pipeline_threads, cores) {
-            telemetry.emit(
-                "oversubscription",
-                &[
-                    ("workers", Value::U(fleet.workers as u64)),
-                    ("pipeline_threads", Value::U(pipeline_threads as u64)),
-                    ("cores", Value::U(cores as u64)),
-                    (
-                        "hint",
-                        "keep workers * pipeline_threads <= 2 * cores".into(),
-                    ),
-                ],
-            );
-        }
-        par::scoped_threads(pipeline_threads)
-    });
 
     let jobs_for_observer = jobs.clone();
     let cache = Arc::new(cache);
@@ -736,17 +693,6 @@ mod tests {
 
     fn spec(matrix: &str) -> CampaignSpec {
         CampaignSpec::parse(matrix).unwrap()
-    }
-
-    #[test]
-    fn oversubscription_warns_only_past_twice_the_cores() {
-        // Default width never warns, whatever the fleet size.
-        assert!(!oversubscribed(64, 1, 1));
-        // At the boundary (workers * threads == 2 * cores) we stay quiet.
-        assert!(!oversubscribed(4, 4, 8));
-        // One past the boundary warns.
-        assert!(oversubscribed(4, 5, 8));
-        assert!(oversubscribed(2, 8, 4));
     }
 
     #[test]
@@ -924,10 +870,8 @@ mod tests {
         let app = resolve_app(&job, 0).unwrap();
         let params = params_of(&job);
         let run = app.run;
-        let traced = scalatrace::trace_app(job.ranks, model_of(&job.network), move |ctx| {
-            run(ctx, &params)
-        })
-        .unwrap();
+        let model = network::by_name(&job.network).unwrap();
+        let traced = scalatrace::trace_app(job.ranks, model, move |ctx| run(ctx, &params)).unwrap();
         cache
             .store_salvaged(
                 job.trace_key(),

@@ -46,12 +46,9 @@ fn collective_of(ev: &ConcreteEvent) -> Option<(CollKind, u32)> {
 /// corresponds to exactly one RSD covering its full communicator.
 pub fn align_collectives(trace: &Trace) -> Result<Trace, GenError> {
     let n = trace.nranks;
-    // Per-rank traversal fan-out on the shared pool: each rank's compressed
-    // stream expands independently. The alignment loop walks the expanded
-    // streams by index in exactly the order the incremental cursors would
-    // have produced, so the result is identical for every thread count.
-    let streams: Vec<Vec<ConcreteEvent>> =
-        par::par_map_indexed(par::threads(), n, |r| Cursor::new(trace, r).collect_all());
+    let streams: Vec<Vec<ConcreteEvent>> = (0..n)
+        .map(|r| Cursor::new(trace, r).collect_all())
+        .collect();
     let mut pos = vec![0usize; n];
     let mut rb = SegmentedRebuilder::new(n);
     let mut blocked: Vec<Option<BlockedColl>> = (0..n).map(|_| None).collect();

@@ -185,15 +185,9 @@ impl Matcher {
 /// *original application* (the trace is a witness of unsafe MPI usage).
 pub fn resolve_wildcards(trace: &Trace) -> Result<WildcardOutcome, GenError> {
     let n = trace.nranks;
-    // Per-rank traversal fan-out: expanding each rank's compressed stream is
-    // independent work, run on the shared pool. The matching loop below
-    // stays sequential — resolution order is part of the algorithm's
-    // contract — so the outcome is identical for every thread count.
-    let streams = par::par_map_indexed(par::threads(), n, |r| Cursor::new(trace, r).collect_all());
-    let mut ranks: Vec<RankCtx> = streams
-        .into_iter()
-        .map(|events| RankCtx {
-            events,
+    let mut ranks: Vec<RankCtx> = (0..n)
+        .map(|r| RankCtx {
+            events: Cursor::new(trace, r).collect_all(),
             idx: 0,
             out: Vec::new(),
             outstanding: VecDeque::new(),

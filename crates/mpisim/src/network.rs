@@ -321,6 +321,18 @@ pub fn ideal() -> Arc<dyn NetworkModel> {
     Arc::new(IdealNetwork)
 }
 
+/// Look up a network model by the name every front end accepts: `ideal`,
+/// `bgl` ([`blue_gene_l`]) or `ethernet` ([`ethernet_cluster`]). `None` for
+/// any other name; callers word their own error.
+pub fn by_name(name: &str) -> Option<Arc<dyn NetworkModel>> {
+    match name {
+        "ideal" => Some(ideal()),
+        "bgl" => Some(blue_gene_l()),
+        "ethernet" => Some(ethernet_cluster()),
+        _ => None,
+    }
+}
+
 /// A decorator scaling an inner model's wire time by a fixed per-link
 /// factor in `[1, 1+skew]`, keyed by `(seed, src, dst)` — the network-level
 /// half of a [`crate::faults::FaultPlan`]'s latency perturbation. The

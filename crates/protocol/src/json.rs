@@ -178,11 +178,17 @@ impl fmt::Display for Json {
     }
 }
 
-/// Parse a JSON document. Trailing non-whitespace is an error.
+/// Deepest array/object nesting [`parse`] accepts. Wire messages nest
+/// about 5 deep; the cap keeps a hostile line from overflowing the stack of
+/// the thread that parses it.
+pub const MAX_DEPTH: usize = 64;
+
+/// Parse a JSON document. Trailing non-whitespace is an error, and so is
+/// nesting deeper than [`MAX_DEPTH`].
 pub fn parse(text: &str) -> Result<Json, String> {
     let bytes = text.as_bytes();
     let mut pos = 0;
-    let value = parse_value(bytes, &mut pos)?;
+    let value = parse_value(bytes, &mut pos, 0)?;
     skip_ws(bytes, &mut pos);
     if pos != bytes.len() {
         return Err(format!("trailing data at byte {pos}"));
@@ -206,11 +212,15 @@ fn expect(bytes: &[u8], pos: &mut usize, b: u8) -> Result<(), String> {
     }
 }
 
-fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
+/// Parse one value; `depth` counts the arrays and objects around it.
+fn parse_value(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Json, String> {
     skip_ws(bytes, pos);
+    if matches!(bytes.get(*pos), Some(b'{' | b'[')) && depth >= MAX_DEPTH {
+        return Err(format!("nesting deeper than {MAX_DEPTH} at byte {pos}"));
+    }
     match bytes.get(*pos) {
-        Some(b'{') => parse_obj(bytes, pos),
-        Some(b'[') => parse_arr(bytes, pos),
+        Some(b'{') => parse_obj(bytes, pos, depth + 1),
+        Some(b'[') => parse_arr(bytes, pos, depth + 1),
         Some(b'"') => parse_str(bytes, pos).map(Json::Str),
         Some(b't') => parse_lit(bytes, pos, "true", Json::Bool(true)),
         Some(b'f') => parse_lit(bytes, pos, "false", Json::Bool(false)),
@@ -277,22 +287,20 @@ fn parse_str(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
                 *pos += 1;
             }
             Some(_) => {
-                // Consume one UTF-8 scalar (input is a &str, so boundaries
-                // are valid).
-                let s = &bytes[*pos..];
-                let ch = std::str::from_utf8(s)
-                    .map_err(|e| e.to_string())?
-                    .chars()
-                    .next()
-                    .unwrap();
-                out.push(ch);
-                *pos += ch.len_utf8();
+                // Copy the run up to the next quote or backslash in one go.
+                // Both are ASCII, so they never fall inside a multi-byte
+                // UTF-8 sequence and the run of a &str is valid UTF-8.
+                let start = *pos;
+                while !matches!(bytes.get(*pos), None | Some(b'"' | b'\\')) {
+                    *pos += 1;
+                }
+                out.push_str(std::str::from_utf8(&bytes[start..*pos]).map_err(|e| e.to_string())?);
             }
         }
     }
 }
 
-fn parse_arr(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
+fn parse_arr(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Json, String> {
     expect(bytes, pos, b'[')?;
     let mut items = Vec::new();
     skip_ws(bytes, pos);
@@ -301,7 +309,7 @@ fn parse_arr(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
         return Ok(Json::Arr(items));
     }
     loop {
-        items.push(parse_value(bytes, pos)?);
+        items.push(parse_value(bytes, pos, depth)?);
         skip_ws(bytes, pos);
         match bytes.get(*pos) {
             Some(b',') => *pos += 1,
@@ -314,7 +322,7 @@ fn parse_arr(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
     }
 }
 
-fn parse_obj(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
+fn parse_obj(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Json, String> {
     expect(bytes, pos, b'{')?;
     let mut members = Vec::new();
     skip_ws(bytes, pos);
@@ -326,7 +334,7 @@ fn parse_obj(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
         skip_ws(bytes, pos);
         let key = parse_str(bytes, pos)?;
         expect(bytes, pos, b':')?;
-        members.push((key, parse_value(bytes, pos)?));
+        members.push((key, parse_value(bytes, pos, depth)?));
         skip_ws(bytes, pos);
         match bytes.get(*pos) {
             Some(b',') => *pos += 1,
@@ -379,6 +387,40 @@ mod tests {
         assert!(parse("12 34").is_err(), "trailing data");
         assert!(parse("\"unterminated").is_err());
         assert!(parse("1e999").is_err(), "non-finite numbers are rejected");
+    }
+
+    #[test]
+    fn long_strings_parse_in_linear_time() {
+        // Each character used to re-validate the rest of the line, so a
+        // 256 KiB string took seconds; one pass takes milliseconds.
+        let body: String = "x\u{e9}\\\"".repeat(64 << 10);
+        let doc = Json::Str(body.clone()).to_compact();
+        assert!(doc.len() >= 256 << 10);
+        let start = std::time::Instant::now();
+        assert_eq!(parse(&doc).unwrap(), Json::Str(body));
+        assert!(
+            start.elapsed() < std::time::Duration::from_secs(1),
+            "parsing {} bytes took {:?}",
+            doc.len(),
+            start.elapsed()
+        );
+    }
+
+    #[test]
+    fn nesting_is_capped() {
+        let nested = |d: usize| format!("{}{}", "[".repeat(d), "]".repeat(d));
+        assert!(parse(&nested(MAX_DEPTH)).is_ok());
+        let err = parse(&nested(MAX_DEPTH + 1)).unwrap_err();
+        assert!(err.contains("nesting"), "{err}");
+        let objs = format!(
+            "{}1{}",
+            "{\"a\":".repeat(MAX_DEPTH + 1),
+            "}".repeat(MAX_DEPTH + 1)
+        );
+        assert!(parse(&objs).unwrap_err().contains("nesting"));
+        // Far past the cap the parser stops at the cap instead of
+        // recursing into the whole line.
+        assert!(parse(&"[".repeat(100_000)).is_err());
     }
 
     #[test]

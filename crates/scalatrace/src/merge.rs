@@ -13,13 +13,9 @@
 //! ([`crate::params`]). Unmatched nodes are interleaved, which preserves
 //! the per-rank projection order (each rank only appears on one side).
 //!
-//! The reduction runs on the shared [`par`] pool: pairs within one tree
-//! level are independent and merge concurrently, while the combine order is
-//! fixed — level `k` always pairs `(0,1), (2,3), …` — so the merged trace is
-//! identical for every thread count, and `threads = 1` takes the exact
-//! sequential code path. Node payloads are thread-safe by construction:
-//! [`crate::rankset::RankSet`] arenas are `Arc`-interned behind `OnceLock`
-//! tables, and timing histograms are owned per node.
+//! The reduction runs sequentially with a fixed combine order: level `k`
+//! pairs `(0,1), (2,3), …` and an odd trailing sequence passes through to
+//! the next level unpaired (`reduce_in_pairs`).
 //!
 //! # Class-collapsed merging
 //!
@@ -53,7 +49,6 @@
 
 use std::cell::RefCell;
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 
 use crate::collect::Tracer;
 use crate::fingerprint::{shape_fp, SeqDigest};
@@ -77,7 +72,7 @@ pub enum MergeStrategy {
 
 /// Phase counters of one class-collapsed merge, for perf-report telemetry.
 /// All counts are totals over the whole reduction (nested class collapses
-/// included), accumulated across pool workers.
+/// included).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct MergeStats {
     /// Input sequences bucketed at the top level.
@@ -97,35 +92,6 @@ pub struct MergeStats {
     /// Total nodes entering cross-class pair merges (denominator for the
     /// anchor-trim hit rate).
     pub pair_nodes: u64,
-}
-
-/// Atomic accumulator behind [`MergeStats`]: pair merges run concurrently
-/// on the pool, so counters are relaxed atomics snapshotted at the end.
-#[derive(Default)]
-struct Counters {
-    members: AtomicU64,
-    classes: AtomicU64,
-    collisions: AtomicU64,
-    rep_merges: AtomicU64,
-    zip_merges: AtomicU64,
-    lcs_cells: AtomicU64,
-    anchor_trimmed: AtomicU64,
-    pair_nodes: AtomicU64,
-}
-
-impl Counters {
-    fn snapshot(&self) -> MergeStats {
-        MergeStats {
-            members: self.members.load(Relaxed),
-            classes: self.classes.load(Relaxed),
-            collisions: self.collisions.load(Relaxed),
-            rep_merges: self.rep_merges.load(Relaxed),
-            zip_merges: self.zip_merges.load(Relaxed),
-            lcs_cells: self.lcs_cells.load(Relaxed),
-            anchor_trimmed: self.anchor_trimmed.load(Relaxed),
-            pair_nodes: self.pair_nodes.load(Relaxed),
-        }
-    }
 }
 
 /// Merge all per-rank tracers into a global trace under the default
@@ -148,33 +114,18 @@ pub fn merge_tracers(tracers: Vec<Tracer>) -> Trace {
     }
 }
 
-/// Merge many per-rank sequences on [`par::threads`] workers with the
-/// default strategy.
+/// Merge many per-rank sequences with the default strategy.
 pub fn merge_sequences(seqs: Vec<Vec<TraceNode>>, world: usize) -> Vec<TraceNode> {
-    merge_sequences_with(seqs, world, par::threads())
+    merge_sequences_strategy(seqs, world, MergeStrategy::default())
 }
 
-/// Merge with an explicit thread count (default strategy).
-///
-/// The reduction order is fixed regardless of `threads` (see
-/// [`par::tree_reduce`]), so the output is identical for any value;
-/// `threads = 1` runs sequentially on the caller's stack.
-pub fn merge_sequences_with(
-    seqs: Vec<Vec<TraceNode>>,
-    world: usize,
-    threads: usize,
-) -> Vec<TraceNode> {
-    merge_sequences_strategy(seqs, world, threads, MergeStrategy::default())
-}
-
-/// Merge with an explicit thread count and strategy.
+/// Merge with an explicit strategy.
 pub fn merge_sequences_strategy(
     seqs: Vec<Vec<TraceNode>>,
     world: usize,
-    threads: usize,
     strategy: MergeStrategy,
 ) -> Vec<TraceNode> {
-    merge_sequences_stats(seqs, world, threads, strategy).0
+    merge_sequences_stats(seqs, world, strategy).0
 }
 
 /// Merge with phase counters. The counters are only populated by
@@ -183,21 +134,14 @@ pub fn merge_sequences_strategy(
 pub fn merge_sequences_stats(
     seqs: Vec<Vec<TraceNode>>,
     world: usize,
-    threads: usize,
     strategy: MergeStrategy,
 ) -> (Vec<TraceNode>, MergeStats) {
-    match strategy {
-        MergeStrategy::Pairwise => {
-            let out =
-                par::tree_reduce(threads, seqs, |a, b| merge_pair(a, b, world)).unwrap_or_default();
-            (out, MergeStats::default())
-        }
-        MergeStrategy::ClassCollapsed => {
-            let counters = Counters::default();
-            let out = merge_collapsed(seqs, world, threads, &seq_digest_of, &counters);
-            (out, counters.snapshot())
-        }
-    }
+    let mut stats = MergeStats::default();
+    let out = match strategy {
+        MergeStrategy::Pairwise => reduce_in_pairs(seqs, |a, b| merge_pair(a, b, world)),
+        MergeStrategy::ClassCollapsed => merge_collapsed(seqs, world, &seq_digest_of, &mut stats),
+    };
+    (out, stats)
 }
 
 /// Degraded test hook: class-collapsed merging with every sequence digest
@@ -209,11 +153,33 @@ pub fn merge_sequences_stats(
 pub fn merge_sequences_degraded(
     seqs: Vec<Vec<TraceNode>>,
     world: usize,
-    threads: usize,
 ) -> (Vec<TraceNode>, MergeStats) {
-    let counters = Counters::default();
-    let out = merge_collapsed(seqs, world, threads, &|_| 0, &counters);
-    (out, counters.snapshot())
+    let mut stats = MergeStats::default();
+    let out = merge_collapsed(seqs, world, &|_| 0, &mut stats);
+    (out, stats)
+}
+
+/// Binary-tree reduction with a fixed pairing: every level combines
+/// `(0,1), (2,3), …` in index order and an odd trailing element passes
+/// through unpaired. One level buffer is reused, swapped with the input
+/// each round. Empty input reduces to an empty sequence.
+fn reduce_in_pairs(
+    mut items: Vec<Vec<TraceNode>>,
+    mut combine: impl FnMut(Vec<TraceNode>, Vec<TraceNode>) -> Vec<TraceNode>,
+) -> Vec<TraceNode> {
+    let mut next = Vec::with_capacity(items.len().div_ceil(2));
+    while items.len() > 1 {
+        let mut it = items.drain(..);
+        while let Some(a) = it.next() {
+            match it.next() {
+                Some(b) => next.push(combine(a, b)),
+                None => next.push(a),
+            }
+        }
+        drop(it);
+        std::mem::swap(&mut items, &mut next);
+    }
+    items.pop().unwrap_or_default()
 }
 
 /// The production sequence digest: incremental shape digest over the nodes.
@@ -233,23 +199,17 @@ fn seqs_mergeable(a: &[TraceNode], b: &[TraceNode]) -> bool {
 /// The class-collapsed merge: digest → bucket (structural confirm on every
 /// hit) → flat per-class collapse → anchor-trimmed LCS reduce over one
 /// representative per class.
-fn merge_collapsed<F>(
+fn merge_collapsed(
     seqs: Vec<Vec<TraceNode>>,
     world: usize,
-    threads: usize,
-    fp_of: &F,
-    counters: &Counters,
-) -> Vec<TraceNode>
-where
-    F: Fn(&[TraceNode]) -> u64 + Sync,
-{
-    counters.members.fetch_add(seqs.len() as u64, Relaxed);
+    fp_of: &dyn Fn(&[TraceNode]) -> u64,
+    stats: &mut MergeStats,
+) -> Vec<TraceNode> {
+    stats.members += seqs.len() as u64;
     if seqs.len() <= 1 {
-        counters.classes.fetch_add(seqs.len() as u64, Relaxed);
+        stats.classes += seqs.len() as u64;
         return seqs.into_iter().next().unwrap_or_default();
     }
-    // Digest every sequence (index-parallel; the digest is read-only).
-    let digests: Vec<u64> = par::par_map_indexed(threads, seqs.len(), |i| fp_of(&seqs[i]));
     // Bucket into classes in input order. A digest hit is only a candidate:
     // the structural confirm against the class representative decides, so a
     // colliding digest costs one extra comparison, never correctness. The
@@ -257,41 +217,39 @@ where
     // full pairwise disjointness is the documented input precondition.
     let mut classes: Vec<Vec<usize>> = Vec::new();
     let mut buckets: HashMap<u64, Vec<usize>> = HashMap::new();
-    for (i, &d) in digests.iter().enumerate() {
-        let bucket = buckets.entry(d).or_default();
+    for (i, seq) in seqs.iter().enumerate() {
+        let bucket = buckets.entry(fp_of(seq)).or_default();
         let mut placed = false;
         for &c in bucket.iter() {
-            if seqs_mergeable(&seqs[classes[c][0]], &seqs[i]) {
+            if seqs_mergeable(&seqs[classes[c][0]], seq) {
                 classes[c].push(i);
                 placed = true;
                 break;
             }
-            counters.collisions.fetch_add(1, Relaxed);
+            stats.collisions += 1;
         }
         if !placed {
             bucket.push(classes.len());
             classes.push(vec![i]);
         }
     }
-    counters.classes.fetch_add(classes.len() as u64, Relaxed);
-    // Collapse each class flat. Classes are independent, so they collapse
-    // in parallel; within a class the fold order is member (= rank) order,
-    // which the exact-recompression argument makes association-invariant.
+    stats.classes += classes.len() as u64;
+    // Collapse each class flat. Within a class the fold order is member
+    // (= rank) order, which the exact-recompression argument makes
+    // association-invariant.
     let mut slots: Vec<Option<Vec<TraceNode>>> = seqs.into_iter().map(Some).collect();
-    let class_inputs: Vec<Vec<Vec<TraceNode>>> = classes
+    let reps: Vec<Vec<TraceNode>> = classes
         .iter()
-        .map(|members| members.iter().map(|&i| slots[i].take().unwrap()).collect())
+        .map(|members| {
+            let members = members.iter().map(|&i| slots[i].take().unwrap()).collect();
+            collapse_class(members, world)
+        })
         .collect();
-    drop(slots);
-    let reps: Vec<Vec<TraceNode>> = par::par_map(threads, class_inputs, |members| {
-        collapse_class(members, world)
-    });
     // Cross-class reduce, first-seen class order, anchor-trimmed LCS pairs.
-    par::tree_reduce(threads, reps, |a, b| {
-        counters.rep_merges.fetch_add(1, Relaxed);
-        merge_pair_anchored(a, b, world, counters)
+    reduce_in_pairs(reps, |a, b| {
+        stats.rep_merges += 1;
+        merge_pair_anchored(a, b, world, stats)
     })
-    .unwrap_or_default()
 }
 
 /// Collapse one shape-equivalence class flat: every member has the same
@@ -452,11 +410,11 @@ fn merge_pair_anchored(
     a: Vec<TraceNode>,
     b: Vec<TraceNode>,
     world: usize,
-    counters: &Counters,
+    stats: &mut MergeStats,
 ) -> Vec<TraceNode> {
     let n = a.len();
     let m = b.len();
-    counters.pair_nodes.fetch_add((n + m) as u64, Relaxed);
+    stats.pair_nodes += (n + m) as u64;
     let mut p = 0;
     while p < n && p < m && mergeable(&a[p], &b[p]) {
         p += 1;
@@ -474,14 +432,10 @@ fn merge_pair_anchored(
     if p == 0 && k == 0 {
         // Nothing anchors (typical for all-distinct worst cases): run the
         // seed DP directly, skipping the middle re-collection below.
-        counters
-            .lcs_cells
-            .fetch_add(((n + 1) * (m + 1)) as u64, Relaxed);
+        stats.lcs_cells += ((n + 1) * (m + 1)) as u64;
         return DP_SCRATCH.with(|s| merge_pair_scratch(a, b, world, &mut s.borrow_mut()));
     }
-    counters
-        .anchor_trimmed
-        .fetch_add(2 * (p + k) as u64, Relaxed);
+    stats.anchor_trimmed += 2 * (p + k) as u64;
     let mid_n = n - p - k;
     let mid_m = m - p - k;
     let mut ai = a.into_iter();
@@ -494,16 +448,14 @@ fn merge_pair_anchored(
         // One middle is empty: the other passes through unmatched, exactly
         // as the seed DP reconstruction would emit it.
         if mid_n == 0 && mid_m == 0 {
-            counters.zip_merges.fetch_add(1, Relaxed);
+            stats.zip_merges += 1;
         }
         out.extend(ai.by_ref().take(mid_n));
         out.extend(bi.by_ref().take(mid_m));
     } else {
         let mid_a: Vec<TraceNode> = ai.by_ref().take(mid_n).collect();
         let mid_b: Vec<TraceNode> = bi.by_ref().take(mid_m).collect();
-        counters
-            .lcs_cells
-            .fetch_add(((mid_n + 1) * (mid_m + 1)) as u64, Relaxed);
+        stats.lcs_cells += ((mid_n + 1) * (mid_m + 1)) as u64;
         out.extend(
             DP_SCRATCH.with(|s| merge_pair_scratch(mid_a, mid_b, world, &mut s.borrow_mut())),
         );
@@ -935,8 +887,8 @@ mod tests {
             })
             .collect();
         let (collapsed, stats) =
-            merge_sequences_stats(seqs.clone(), n, 1, MergeStrategy::ClassCollapsed);
-        let pairwise = merge_sequences_strategy(seqs, n, 1, MergeStrategy::Pairwise);
+            merge_sequences_stats(seqs.clone(), n, MergeStrategy::ClassCollapsed);
+        let pairwise = merge_sequences_strategy(seqs, n, MergeStrategy::Pairwise);
         assert_eq!(collapsed, pairwise);
         assert_eq!(stats.members, n as u64);
         assert_eq!(stats.classes, 1);
@@ -960,8 +912,8 @@ mod tests {
             })
             .collect();
         let (normal, nstats) =
-            merge_sequences_stats(seqs.clone(), n, 1, MergeStrategy::ClassCollapsed);
-        let (degraded, dstats) = merge_sequences_degraded(seqs, n, 1);
+            merge_sequences_stats(seqs.clone(), n, MergeStrategy::ClassCollapsed);
+        let (degraded, dstats) = merge_sequences_degraded(seqs, n);
         assert_eq!(normal, degraded);
         assert_eq!(nstats.classes, 2);
         assert_eq!(dstats.classes, 2);
@@ -982,15 +934,11 @@ mod tests {
         // merges a's trailing s with b's *first* s, not its last.
         let a = vec![send(0, 1, 64, 10), barrier(0, 7)];
         let b = vec![barrier(1, 7), send(1, 2, 64, 20), barrier(1, 7)];
-        let counters = Counters::default();
-        let anchored = merge_pair_anchored(a.clone(), b.clone(), 4, &counters);
+        let mut stats = MergeStats::default();
+        let anchored = merge_pair_anchored(a.clone(), b.clone(), 4, &mut stats);
         let plain = merge_pair(a, b, 4);
         assert_eq!(anchored, plain);
-        assert_eq!(
-            counters.snapshot().anchor_trimmed,
-            0,
-            "unsafe suffix must not be trimmed"
-        );
+        assert_eq!(stats.anchor_trimmed, 0, "unsafe suffix must not be trimmed");
     }
 
     #[test]
@@ -1009,11 +957,10 @@ mod tests {
             barrier(1, 8),
             barrier(1, 9),
         ];
-        let counters = Counters::default();
-        let anchored = merge_pair_anchored(a.clone(), b.clone(), 4, &counters);
+        let mut stats = MergeStats::default();
+        let anchored = merge_pair_anchored(a.clone(), b.clone(), 4, &mut stats);
         let plain = merge_pair(a, b, 4);
         assert_eq!(anchored, plain);
-        let stats = counters.snapshot();
         assert_eq!(stats.anchor_trimmed, 6, "prefix 1 + suffix 2, both sides");
         assert_eq!(stats.lcs_cells, 2 * 3, "DP only over the 1x2 middles");
     }
@@ -1035,7 +982,7 @@ mod tests {
             .flatten()
             .map(TraceNode::concrete_event_count)
             .sum();
-        let (merged, stats) = merge_sequences_stats(seqs, n, 1, MergeStrategy::ClassCollapsed);
+        let (merged, stats) = merge_sequences_stats(seqs, n, MergeStrategy::ClassCollapsed);
         assert_eq!(stats.classes, 3);
         assert_eq!(stats.rep_merges, 2);
         let after: u64 = merged.iter().map(TraceNode::concrete_event_count).sum();

@@ -470,12 +470,11 @@ proptest! {
 }
 
 // ---------------------------------------------------------------------------
-// Differential merge: parallel tree reduce vs seed sequential pairing
+// Differential merge: the strategies' tree reduce vs seed sequential pairing
 // ---------------------------------------------------------------------------
 
 /// The seed merge: level-by-level pair merges, strictly sequential and in
-/// index order. The pool's tree reduce pairs levels identically, so every
-/// width must reproduce this byte for byte.
+/// index order. The pairwise strategy must reproduce it byte for byte.
 fn seed_merge(mut level: Vec<Vec<TraceNode>>, world: usize) -> Vec<TraceNode> {
     while level.len() > 1 {
         let mut next = Vec::new();
@@ -526,10 +525,10 @@ fn ragged_seqs(streams: &[Vec<(u64, u64)>]) -> Vec<Vec<TraceNode>> {
 }
 
 proptest! {
-    /// The seed pairwise strategy must be byte-identical across pool widths
-    /// and to the seed sequential pairing, on ragged per-rank streams.
+    /// The seed pairwise strategy must be byte-identical to the seed
+    /// level-by-level pairing, on ragged per-rank streams.
     #[test]
-    fn pairwise_merge_is_pool_width_invariant(
+    fn pairwise_merge_matches_seed_pairing(
         streams in proptest::collection::vec(
             proptest::collection::vec((0u64..4, 1u64..4), 0..32),
             1..10
@@ -538,33 +537,8 @@ proptest! {
         let world = streams.len();
         let seqs = ragged_seqs(&streams);
         let seed = seed_merge(seqs.clone(), world);
-        for threads in [1usize, 2, 8] {
-            let got =
-                merge_sequences_strategy(seqs.clone(), world, threads, MergeStrategy::Pairwise);
-            prop_assert_eq!(&got, &seed, "pool width {} diverged from the seed merge", threads);
-        }
-    }
-
-    /// The default class-collapsed strategy must be byte-identical across
-    /// pool widths on arbitrary ragged streams, with identical phase
-    /// counters (bucketing and reduction shape are width-invariant).
-    #[test]
-    fn class_collapse_is_pool_width_invariant(
-        streams in proptest::collection::vec(
-            proptest::collection::vec((0u64..4, 1u64..4), 0..32),
-            1..10
-        ),
-    ) {
-        let world = streams.len();
-        let seqs = ragged_seqs(&streams);
-        let (base, base_stats) =
-            merge_sequences_stats(seqs.clone(), world, 1, MergeStrategy::ClassCollapsed);
-        for threads in [2usize, 8] {
-            let (got, stats) =
-                merge_sequences_stats(seqs.clone(), world, threads, MergeStrategy::ClassCollapsed);
-            prop_assert_eq!(&got, &base, "pool width {} diverged", threads);
-            prop_assert_eq!(stats, base_stats, "stats diverged at width {}", threads);
-        }
+        let got = merge_sequences_strategy(seqs, world, MergeStrategy::Pairwise);
+        prop_assert_eq!(got, seed);
     }
 
     /// With exactly two ranks, the collapsed strategy is either one flat
@@ -580,7 +554,7 @@ proptest! {
         let streams = vec![sa, sb];
         let seqs = ragged_seqs(&streams);
         let seed = merge_pair(seqs[0].clone(), seqs[1].clone(), 2);
-        let got = merge_sequences_strategy(seqs, 2, 1, MergeStrategy::ClassCollapsed);
+        let got = merge_sequences_strategy(seqs, 2, MergeStrategy::ClassCollapsed);
         prop_assert_eq!(got, seed);
     }
 
@@ -608,7 +582,7 @@ proptest! {
         }
         let permuted: Vec<Vec<TraceNode>> = perm.iter().map(|&i| seqs[i].clone()).collect();
         let (got, stats) =
-            merge_sequences_stats(permuted, world, 1, MergeStrategy::ClassCollapsed);
+            merge_sequences_stats(permuted, world, MergeStrategy::ClassCollapsed);
         prop_assert_eq!(&got, &seed);
         prop_assert_eq!(stats.classes, 1, "SPMD streams are one shape class");
         prop_assert_eq!(stats.rep_merges, 0);
@@ -627,8 +601,8 @@ proptest! {
         let world = streams.len();
         let seqs = ragged_seqs(&streams);
         let (normal, nstats) =
-            merge_sequences_stats(seqs.clone(), world, 1, MergeStrategy::ClassCollapsed);
-        let (degraded, dstats) = merge_sequences_degraded(seqs, world, 1);
+            merge_sequences_stats(seqs.clone(), world, MergeStrategy::ClassCollapsed);
+        let (degraded, dstats) = merge_sequences_degraded(seqs, world);
         prop_assert_eq!(&degraded, &normal);
         prop_assert_eq!(dstats.classes, nstats.classes);
         prop_assert_eq!(dstats.members, nstats.members);
@@ -654,7 +628,7 @@ proptest! {
             })
             .collect();
         let seed = seed_merge(seqs.clone(), world);
-        let got = merge_sequences_strategy(seqs, world, 1, MergeStrategy::ClassCollapsed);
+        let got = merge_sequences_strategy(seqs, world, MergeStrategy::ClassCollapsed);
         prop_assert_eq!(&got, &seed);
         let t_got = Trace { nranks: world, nodes: got, comms: CommTable::world(world) };
         let t_seed = Trace { nranks: world, nodes: seed, comms: CommTable::world(world) };

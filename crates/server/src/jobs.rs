@@ -18,11 +18,10 @@ use campaign::matrix::{parse_class, CampaignSpec, JobSpec, NETWORKS};
 use campaign::{run_campaign, Telemetry, TraceCache};
 use conceptual::interp::run_program_hooked;
 use miniapps::registry;
-use mpisim::network::{self, NetworkModel};
+use mpisim::network;
 use mpisim::profile::MpiP;
 use mpisim::world::World;
 use protocol::{Artifact, JobParams, JobResult};
-use std::sync::Arc;
 
 /// What a job does.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -60,17 +59,9 @@ impl JobKind {
     }
 }
 
-fn model_of(name: &str) -> Arc<dyn NetworkModel> {
-    match name {
-        "bgl" => network::blue_gene_l(),
-        "ethernet" => network::ethernet_cluster(),
-        _ => network::ideal(),
-    }
-}
-
 /// Validate wire parameters into a concrete [`JobSpec`]. The spec carries
 /// batch defaults for the knobs the wire protocol does not expose
-/// (`compute_scale`, `chaos_seeds`, `pipeline_threads`), so its
+/// (`compute_scale`, `chaos_seeds`), so its
 /// `trace_key` matches the one a `commbench` campaign over the same
 /// configuration would use — the two front ends share cache entries.
 pub fn spec_of(p: &JobParams) -> Result<JobSpec, String> {
@@ -102,7 +93,6 @@ pub fn spec_of(p: &JobParams) -> Result<JobSpec, String> {
         compute_scale: 1.0,
         iterations: p.iterations.map(|i| i as usize),
         chaos_seeds: 0,
-        pipeline_threads: 1,
     })
 }
 
@@ -141,7 +131,8 @@ pub struct Executed {
 /// Run a trace / generate / simulate job. `spec` must come from
 /// [`spec_of`] (so the app and rank count are already validated).
 pub fn run_single(kind: JobKind, spec: &JobSpec, mem: &TraceMemCache) -> Result<Executed, String> {
-    let model = model_of(&spec.network);
+    let model = network::by_name(&spec.network)
+        .ok_or_else(|| format!("unknown network {}", spec.network))?;
     let key = spec.trace_key();
     let mut evictions = 0;
 

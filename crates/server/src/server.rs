@@ -1212,3 +1212,53 @@ fn stats(state: &Arc<State>) -> StatsReport {
             .collect(),
     }
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn a_deeply_nested_line_gets_a_syntax_error_and_the_session_survives() {
+        let dir = std::env::temp_dir().join(format!("commspec-deep-line-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let (srv, _) = Server::start(ServerOptions {
+            state_dir: dir.clone(),
+            workers: 1,
+            ..ServerOptions::default()
+        })
+        .unwrap();
+        let hello = Request::Hello {
+            proto_version: PROTO_VERSION,
+            client: "deep".to_string(),
+        };
+        let input = format!("{}\n{}\n", "[".repeat(100_000), hello.to_line());
+        // Serve on a thread with the 2 MiB stack `serve_tcp` gives each
+        // connection: an unbounded recursive parse overflows it.
+        let out = std::thread::scope(|s| {
+            std::thread::Builder::new()
+                .stack_size(2 << 20)
+                .spawn_scoped(s, || {
+                    let mut out = Vec::new();
+                    srv.handle(input.as_bytes(), &mut out);
+                    out
+                })
+                .unwrap()
+                .join()
+                .unwrap()
+        });
+        let responses: Vec<Response> = String::from_utf8(out)
+            .unwrap()
+            .lines()
+            .map(|l| Response::from_line(l).unwrap())
+            .collect();
+        assert_eq!(responses.len(), 2, "{responses:?}");
+        assert!(
+            matches!(&responses[0], Response::Error { code, .. } if code == "syntax"),
+            "{:?}",
+            responses[0]
+        );
+        assert!(matches!(responses[1], Response::HelloOk { .. }));
+        srv.shutdown();
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+}

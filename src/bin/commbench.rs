@@ -661,7 +661,7 @@ fn parse_capture(argv: &[String]) -> Result<CaptureArgs, String> {
     if !(entry.valid_ranks)(args.ranks) {
         return Err(format!("{} cannot run on {} ranks", args.app, args.ranks));
     }
-    if !["ideal", "bgl", "ethernet"].contains(&args.network.as_str()) {
+    if mpisim::network::by_name(&args.network).is_none() {
         return Err(format!(
             "unknown network {} (expected ideal, bgl, or ethernet)",
             args.network
@@ -746,8 +746,7 @@ fn parse_matrix(argv: &[String]) -> Result<Args, String> {
                      or:    commbench chaos [--seeds N] [--apps A,B] [--ranks N] \
                             [--network ideal|bgl|ethernet] [--iterations N] [common flags]\n\
                      or:    commbench perf [--smoke] [--baseline] [--reps N] [--warmup N] \
-                            [--cache DIR] [--out FILE.json] [--check BASELINE.json] \
-                            [--threads N] [--parallel-suites]\n\
+                            [--cache DIR] [--out FILE.json] [--check BASELINE.json]\n\
                      or:    commbench fsck [--cache DIR]   \
                             # verify + quarantine corrupt cache entries"
                         .to_string(),
@@ -877,7 +876,6 @@ fn chaos_jobs(args: &ChaosArgs) -> (Vec<JobSpec>, Vec<String>) {
             compute_scale: 1.0,
             iterations: Some(args.iterations),
             chaos_seeds: args.seeds,
-            pipeline_threads: 1,
         });
     }
     (jobs, skipped)
@@ -913,19 +911,10 @@ fn parse_perf(argv: &[String]) -> Result<PerfConfig, String> {
             "--cache" => cfg.cache_dir = PathBuf::from(value(&mut i)?),
             "--out" => cfg.out = PathBuf::from(value(&mut i)?),
             "--check" => cfg.check = Some(PathBuf::from(value(&mut i)?)),
-            "--threads" => {
-                cfg.threads = Some(
-                    value(&mut i)?
-                        .parse()
-                        .map_err(|e| format!("bad --threads: {e}"))?,
-                )
-            }
-            "--parallel-suites" => cfg.parallel_suites = true,
             "--help" | "-h" => {
                 return Err(
                     "usage: commbench perf [--smoke] [--baseline] [--reps N] [--warmup N] \
-                            [--cache DIR] [--out FILE.json] [--check BASELINE.json] \
-                            [--threads N] [--parallel-suites]"
+                            [--cache DIR] [--out FILE.json] [--check BASELINE.json]"
                         .to_string(),
                 )
             }
@@ -935,9 +924,6 @@ fn parse_perf(argv: &[String]) -> Result<PerfConfig, String> {
     }
     if cfg.reps == Some(0) {
         return Err("--reps must be at least 1".to_string());
-    }
-    if cfg.threads == Some(0) {
-        return Err("--threads must be at least 1".to_string());
     }
     Ok(cfg)
 }
@@ -1473,14 +1459,6 @@ fn main_convert(args: ConvertArgs) -> ExitCode {
     ExitCode::SUCCESS
 }
 
-fn capture_network(name: &str) -> std::sync::Arc<dyn mpisim::network::NetworkModel> {
-    match name {
-        "bgl" => mpisim::network::blue_gene_l(),
-        "ethernet" => mpisim::network::ethernet_cluster(),
-        _ => mpisim::network::ideal(),
-    }
-}
-
 fn main_capture(args: CaptureArgs) -> ExitCode {
     let entry = registry::lookup(&args.app).expect("validated at parse time");
     let params = miniapps::AppParams {
@@ -1495,7 +1473,8 @@ fn main_capture(args: CaptureArgs) -> ExitCode {
     if args.event_delay_us > 0 {
         cfg = cfg.with_event_delay(Duration::from_micros(args.event_delay_us));
     }
-    let world = mpisim::world::World::new(args.ranks).network(capture_network(&args.network));
+    let model = mpisim::network::by_name(&args.network).expect("validated at parse time");
+    let world = mpisim::world::World::new(args.ranks).network(model);
     let run_fn = entry.run;
     let streamed = match scalatrace::trace_world_streamed(world, args.ranks, &cfg, move |ctx| {
         run_fn(ctx, &params)
@@ -1819,7 +1798,7 @@ mod tests {
 
         let cfg = perf(
             "perf --smoke --baseline --reps 7 --warmup 3 --cache /tmp/c \
-             --out o.json --check BENCH_pipeline.json --threads 4 --parallel-suites",
+             --out o.json --check BENCH_pipeline.json",
         );
         assert!(cfg.smoke && cfg.baseline_only);
         assert_eq!(cfg.reps, Some(7));
@@ -1827,13 +1806,9 @@ mod tests {
         assert_eq!(cfg.cache_dir, PathBuf::from("/tmp/c"));
         assert_eq!(cfg.out, PathBuf::from("o.json"));
         assert_eq!(cfg.check, Some(PathBuf::from("BENCH_pipeline.json")));
-        assert_eq!(cfg.threads, Some(4));
-        assert!(cfg.parallel_suites);
 
         assert!(parse_argv(argv("perf --reps 0")).is_err());
         assert!(parse_argv(argv("perf --reps lots")).is_err());
-        assert!(parse_argv(argv("perf --threads 0")).is_err());
-        assert!(parse_argv(argv("perf --threads many")).is_err());
         assert!(parse_argv(argv("perf --matrix m.txt")).is_err());
         assert!(parse_argv(argv("perf --help")).is_err());
     }

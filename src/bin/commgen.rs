@@ -151,10 +151,7 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    let machine = match args.machine.as_str() {
-        "ethernet" => network::ethernet_cluster(),
-        _ => network::blue_gene_l(),
-    };
+    let machine = network::by_name(&args.machine).expect("validated at parse time");
 
     // 1. Obtain a trace: run a bundled application or load a trace file.
     let trace = if let Some(file) = &args.trace_file {
@@ -272,39 +269,33 @@ fn main() -> ExitCode {
         None => print!("{text}"),
     }
 
-    // 4. Optionally execute the generated benchmark under mpiP hooks and
-    //    write the merged profile — the artifact the paper's E1 verification
-    //    (and the commspec server's `simulate` job) consumes.
-    if let Some(path) = &args.profile {
-        let world = mpisim::world::World::new(trace.nranks).network(machine.clone());
+    // 4. Optionally execute the generated benchmark, once, under mpiP hooks:
+    //    `--profile` writes the merged profile — the artifact the paper's E1
+    //    verification (and the commspec server's `simulate` job) consumes —
+    //    and `--run` reports the run's time.
+    if args.profile.is_some() || args.run {
+        let world = mpisim::world::World::new(trace.nranks).network(machine);
         let (result, hooks) =
             conceptual::interp::run_program_hooked(&generated.program, world, |_| {
                 mpisim::profile::MpiP::new()
             });
-        match result {
-            Ok(_) => {
-                let profile = mpisim::profile::MpiP::merge_all(hooks.iter()).to_string();
-                if let Err(e) = std::fs::write(path, profile) {
-                    eprintln!("cannot write {path}: {e}");
-                    return ExitCode::FAILURE;
-                }
-                eprintln!("mpiP profile written to {path}");
-            }
+        let outcome = match result {
+            Ok(outcome) => outcome,
             Err(e) => {
                 eprintln!("generated benchmark failed: {e}");
                 return ExitCode::FAILURE;
             }
+        };
+        if let Some(path) = &args.profile {
+            let profile = mpisim::profile::MpiP::merge_all(hooks.iter()).to_string();
+            if let Err(e) = std::fs::write(path, profile) {
+                eprintln!("cannot write {path}: {e}");
+                return ExitCode::FAILURE;
+            }
+            eprintln!("mpiP profile written to {path}");
         }
-    }
-
-    // 5. Optionally execute the generated benchmark.
-    if args.run {
-        match conceptual::interp::run_program(&generated.program, trace.nranks, machine) {
-            Ok(outcome) => eprintln!("T_gen = {}", outcome.total_time),
-            Err(e) => {
-                eprintln!("generated benchmark failed: {e}");
-                return ExitCode::FAILURE;
-            }
+        if args.run {
+            eprintln!("T_gen = {}", outcome.total_time);
         }
     }
     ExitCode::SUCCESS

@@ -19,17 +19,13 @@
 //! * **merge** — the inter-rank reduction at 64–1024 ranks: per-rank
 //!   streams with identical call-site structure (the SPMD common case)
 //!   merged under the class-collapsed strategy (`current`) and the seed
-//!   pairwise LCS tree (`baseline`), both at the configured pool width, so
-//!   the speedup isolates the algorithm rather than thread scaling. A
-//!   `merge_distinct_r64` suite runs the all-distinct worst case, where
-//!   collapse degenerates to the pairwise tree plus digest overhead and
-//!   must stay within noise of the seed path. Merge suites embed the
-//!   collapse phase counters (classes, representative merges, LCS cells,
-//!   anchor-trim rate) as additive JSON fields, and record the pool width
-//!   they measured under: the pairwise baseline parallelises on real
-//!   multicore hosts while collapse is mostly width-insensitive, so the
-//!   ratio depends on the width and the `--check` gate only compares a
-//!   merge suite when the fresh run used the *same* width.
+//!   pairwise LCS tree (`baseline`), over the same streams, so the speedup
+//!   isolates the algorithm. A `merge_distinct_r64` suite runs the
+//!   all-distinct worst case, where collapse degenerates to the pairwise
+//!   tree plus digest overhead and must stay within noise of the seed
+//!   path. Merge suites embed the collapse phase counters (classes,
+//!   representative merges, LCS cells, anchor-trim rate) as additive JSON
+//!   fields.
 //!
 //! * **stream** — bounded-memory streaming capture (`scalatrace::stream`)
 //!   of the ring app versus the seed unbounded in-memory capture. The
@@ -147,14 +143,6 @@ pub struct PerfConfig {
     pub out: PathBuf,
     /// Committed baseline to compare speedups against (CI gate).
     pub check: Option<PathBuf>,
-    /// Pool width for the parallel legs (`None` = [`par::threads`], i.e.
-    /// `COMMSPEC_THREADS` or the core count).
-    pub threads: Option<usize>,
-    /// Run independent pipeline suites concurrently on the pool. Off by
-    /// default: concurrent suites contend for cores and perturb each
-    /// other's timings, so this is for quick exploratory runs, not for
-    /// regenerating the committed baseline.
-    pub parallel_suites: bool,
 }
 
 impl PerfConfig {
@@ -168,14 +156,7 @@ impl PerfConfig {
             cache_dir: PathBuf::from(".commbench-cache"),
             out: PathBuf::from("BENCH_pipeline.json"),
             check: None,
-            threads: None,
-            parallel_suites: false,
         }
-    }
-
-    /// Resolved pool width for the parallel legs.
-    fn threads(&self) -> usize {
-        self.threads.unwrap_or_else(par::threads).max(1)
     }
 
     /// Median-of-N count. Identical in smoke and full mode: a median of 3
@@ -233,10 +214,6 @@ pub struct Suite {
     pub warm_ns: Option<u64>,
     /// Median warm (cache-hit) pipeline time, seed algorithms.
     pub baseline_warm_ns: Option<u64>,
-    /// Pool width the `current` leg ran under (merge/scaling suites only;
-    /// `None` for single-threaded workloads). The `--check` gate only
-    /// compares suites measured under the same width.
-    pub threads: Option<usize>,
     /// Merge phase counters from the `current` (class-collapsed) leg, so
     /// regressions are diagnosable from the committed JSON alone.
     pub merge_stats: Option<MergeStats>,
@@ -269,8 +246,6 @@ pub struct PerfReport {
     pub reps: usize,
     /// Warmup iterations.
     pub warmup: usize,
-    /// Pool width used for the parallel legs.
-    pub threads: usize,
     /// Hardware threads the measuring host reported.
     pub cores: usize,
     /// Suite results in execution order.
@@ -579,8 +554,8 @@ fn distinct_stream(rank: usize, nranks: usize) -> Vec<TraceNode> {
 }
 
 /// One merge suite: `current` is the class-collapsed strategy, `baseline`
-/// the seed pairwise LCS tree, both at `cfg.threads()` over the same
-/// streams — the speedup isolates the algorithm, not thread scaling.
+/// the seed pairwise LCS tree, both over the same streams — the speedup
+/// isolates the algorithm.
 /// Stream construction and per-rep cloning stay outside the timed region.
 fn merge_suite_over(
     cfg: &PerfConfig,
@@ -589,7 +564,6 @@ fn merge_suite_over(
     variants: &[Variant],
     streams: Vec<Vec<TraceNode>>,
 ) -> Suite {
-    let threads = cfg.threads();
     // The counters are deterministic, so one untimed pass captures them —
     // and doubles as the peak-resident probe. It must run *before* the
     // timed legs: the probe's delta is only meaningful on the first touch
@@ -600,7 +574,7 @@ fn merge_suite_over(
     let (merge_stats, peak_rss_kb) = if variants.contains(&Variant::Current) {
         let input = streams.clone();
         let (stats, peak) = measure_peak_rss(|| {
-            merge_sequences_stats(input, nranks, threads, MergeStrategy::ClassCollapsed).1
+            merge_sequences_stats(input, nranks, MergeStrategy::ClassCollapsed).1
         });
         (Some(stats), peak)
     } else {
@@ -616,11 +590,7 @@ fn merge_suite_over(
             cfg.warmup(),
             cfg.reps(),
             || streams.clone(),
-            |input| {
-                merge_sequences_stats(input, nranks, threads, strategy)
-                    .0
-                    .len()
-            },
+            |input| merge_sequences_stats(input, nranks, strategy).0.len(),
         );
         times[(v == Variant::Baseline) as usize] = t;
     }
@@ -634,7 +604,6 @@ fn merge_suite_over(
         speedup: ratio(baseline_ns, current_ns),
         warm_ns: None,
         baseline_warm_ns: None,
-        threads: Some(threads),
         merge_stats,
         stream_stats: None,
         peak_rss_kb,
@@ -680,7 +649,6 @@ fn compression_suite(cfg: &PerfConfig, nranks: usize, variants: &[Variant]) -> S
         speedup: ratio(baseline_ns, current_ns),
         warm_ns: None,
         baseline_warm_ns: None,
-        threads: None,
         merge_stats: None,
         stream_stats: None,
         peak_rss_kb: None,
@@ -828,7 +796,6 @@ fn pipeline_suite(
         speedup: ratio(baseline_ns, current_ns),
         warm_ns: Some(warm_ns),
         baseline_warm_ns: Some(baseline_warm_ns),
-        threads: None,
         merge_stats: None,
         stream_stats: None,
         peak_rss_kb: None,
@@ -917,7 +884,6 @@ fn stream_suite(cfg: &PerfConfig, variants: &[Variant]) -> Result<Suite, String>
         speedup: ratio(baseline_ns, current_ns),
         warm_ns: None,
         baseline_warm_ns: None,
-        threads: None,
         merge_stats: None,
         stream_stats,
         peak_rss_kb: None,
@@ -955,10 +921,7 @@ pub fn run(cfg: &PerfConfig) -> Result<PerfReport, String> {
     }
 
     for &n in &MERGE_RANKS {
-        eprintln!(
-            "perf: merge reduction at {n} ranks (threads {}) ...",
-            cfg.threads()
-        );
+        eprintln!("perf: merge reduction at {n} ranks ...");
         let streams = (0..n).map(|r| merge_stream(r, n)).collect();
         suites.push(merge_suite_over(
             cfg,
@@ -980,8 +943,7 @@ pub fn run(cfg: &PerfConfig) -> Result<PerfReport, String> {
         for &n in &MERGE_LARGE_RANKS {
             eprintln!(
                 "perf: large-P interior merge at {n} ranks ({MERGE_LARGE_BLOCKS} blocks, \
-                 class-collapsed only, threads {}) ...",
-                cfg.threads()
+                 class-collapsed only) ..."
             );
             let streams = (0..MERGE_LARGE_BLOCKS)
                 .map(|b| block_stream(b, n))
@@ -998,10 +960,7 @@ pub fn run(cfg: &PerfConfig) -> Result<PerfReport, String> {
 
     {
         let n = MERGE_DISTINCT_RANKS;
-        eprintln!(
-            "perf: merge worst case (all-distinct) at {n} ranks (threads {}) ...",
-            cfg.threads()
-        );
+        eprintln!("perf: merge worst case (all-distinct) at {n} ranks ...");
         let streams = (0..n).map(|r| distinct_stream(r, n)).collect();
         suites.push(merge_suite_over(
             cfg,
@@ -1023,27 +982,10 @@ pub fn run(cfg: &PerfConfig) -> Result<PerfReport, String> {
     let cache = TraceCache::open(&perf_cache_dir)
         .map_err(|e| format!("cannot open cache {}: {e}", perf_cache_dir.display()))?;
 
-    let apps = pipeline_apps(cfg);
-    let results: Vec<Result<Suite, String>> = if cfg.parallel_suites && cfg.threads() > 1 {
-        eprintln!(
-            "perf: pipeline suites for {} apps on {} workers ...",
-            apps.len(),
-            cfg.threads()
-        );
-        par::par_map(cfg.threads(), apps, |app| {
-            pipeline_suite(cfg, app, variants, &cache)
-        })
-    } else {
-        apps.into_iter()
-            .map(|app| {
-                eprintln!("perf: pipeline {} at {PIPELINE_RANKS} ranks ...", app.name);
-                pipeline_suite(cfg, app, variants, &cache)
-            })
-            .collect()
-    };
     let mut total = [0u64; 2];
-    for suite in results {
-        let suite = suite?;
+    for app in pipeline_apps(cfg) {
+        eprintln!("perf: pipeline {} at {PIPELINE_RANKS} ranks ...", app.name);
+        let suite = pipeline_suite(cfg, app, variants, &cache)?;
         total[0] += suite.current_ns;
         total[1] += suite.baseline_ns;
         suites.push(suite);
@@ -1057,7 +999,6 @@ pub fn run(cfg: &PerfConfig) -> Result<PerfReport, String> {
         speedup: ratio(total[1], total[0]),
         warm_ns: None,
         baseline_warm_ns: None,
-        threads: None,
         merge_stats: None,
         stream_stats: None,
         peak_rss_kb: None,
@@ -1073,7 +1014,6 @@ pub fn run(cfg: &PerfConfig) -> Result<PerfReport, String> {
         },
         reps: cfg.reps(),
         warmup: cfg.warmup(),
-        threads: cfg.threads(),
         cores: par::available_cores(),
         suites,
     })
@@ -1094,9 +1034,6 @@ impl Suite {
         }
         if let Some(w) = self.baseline_warm_ns {
             obj.push(("baseline_warm_ns".into(), Json::Num(w as f64)));
-        }
-        if let Some(t) = self.threads {
-            obj.push(("threads".into(), Json::Num(t as f64)));
         }
         if let Some(st) = &self.merge_stats {
             // Additive fields (schema stays commspec-perf/v2): the collapse
@@ -1150,18 +1087,16 @@ fn round3(x: f64) -> f64 {
 
 impl PerfReport {
     /// The stable on-disk schema (`commspec-perf/v2`). v2 adds the
-    /// top-level `threads` (pool width of the run) and `cores` (hardware
-    /// threads of the measuring host), plus a per-suite `threads` field on
-    /// scaling suites; everything a v1 reader consumed is unchanged, and
-    /// the `--check` gate still reads committed v1 files (absent `threads`
-    /// simply means "no width constraint").
+    /// top-level `cores` (hardware threads of the measuring host);
+    /// everything a v1 reader consumed is unchanged, and the `--check` gate
+    /// still reads committed v1 files. The `threads` fields of files
+    /// written while the analysis stages had a pool width are ignored.
     pub fn to_json(&self) -> Json {
         Json::Obj(vec![
             ("schema".into(), Json::Str("commspec-perf/v2".into())),
             ("mode".into(), Json::Str(self.mode.clone())),
             ("reps".into(), Json::Num(self.reps as f64)),
             ("warmup".into(), Json::Num(self.warmup as f64)),
-            ("threads".into(), Json::Num(self.threads as f64)),
             ("cores".into(), Json::Num(self.cores as f64)),
             (
                 "suites".into(),
@@ -1173,19 +1108,15 @@ impl PerfReport {
     /// Human-readable summary table.
     pub fn table(&self) -> String {
         let mut out = format!(
-            "{:<24} {:>6} {:>4} {:>13} {:>13} {:>13} {:>8}\n",
-            "suite", "ranks", "thr", "current(ms)", "baseline(ms)", "warm(ms)", "speedup"
+            "{:<24} {:>6} {:>13} {:>13} {:>13} {:>8}\n",
+            "suite", "ranks", "current(ms)", "baseline(ms)", "warm(ms)", "speedup"
         );
         for s in &self.suites {
             let ms = |ns: u64| ns as f64 / 1e6;
             out.push_str(&format!(
-                "{:<24} {:>6} {:>4} {:>13.2} {:>13.2} {:>13} {:>7.2}x\n",
+                "{:<24} {:>6} {:>13.2} {:>13.2} {:>13} {:>7.2}x\n",
                 s.name,
                 s.ranks,
-                match s.threads {
-                    Some(t) => t.to_string(),
-                    None => "-".into(),
-                },
                 ms(s.current_ns),
                 ms(s.baseline_ns),
                 match s.warm_ns {
@@ -1228,17 +1159,6 @@ pub fn check_regressions(new: &PerfReport, committed: &Json) -> Vec<String> {
             // Smoke mode runs a subset of the committed full suite.
             continue;
         };
-        // A scaling suite's speedup is only reproducible at the pool width
-        // it was committed under: a run at a different `--threads` (or on a
-        // host with fewer cores than the committed width) measures a
-        // different quantity, so width-mismatched suites are skipped, not
-        // compared. Committed v1 files carry no `threads` field and are
-        // gated unconditionally, as before.
-        if let Some(committed_threads) = suite.get("threads").and_then(Json::as_num) {
-            if fresh.threads.map(|t| t as f64) != Some(committed_threads) {
-                continue;
-            }
-        }
         let floor = old_speedup * (1.0 - CHECK_TOLERANCE);
         if fresh.speedup < floor {
             errors.push(format!(
@@ -1347,7 +1267,7 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
-    fn suite(name: &str, kind: &'static str, speedup: f64, threads: Option<usize>) -> Suite {
+    fn suite(name: &str, kind: &'static str, speedup: f64) -> Suite {
         Suite {
             name: name.into(),
             kind,
@@ -1357,7 +1277,6 @@ mod tests {
             speedup,
             warm_ns: None,
             baseline_warm_ns: None,
-            threads,
             merge_stats: None,
             stream_stats: None,
             peak_rss_kb: None,
@@ -1369,7 +1288,6 @@ mod tests {
             mode: "smoke".into(),
             reps: 3,
             warmup: 1,
-            threads: 8,
             cores: 8,
             suites,
         }
@@ -1377,14 +1295,13 @@ mod tests {
 
     #[test]
     fn report_json_roundtrips_and_checks() {
-        let report = report(vec![suite("compress_r64", "compression", 2.5, None)]);
+        let report = report(vec![suite("compress_r64", "compression", 2.5)]);
         let text = report.to_json().to_string();
         let parsed = parse_json(&text).unwrap();
         assert_eq!(
             parsed.get("schema").and_then(Json::as_str),
             Some(&"commspec-perf/v2".to_string())
         );
-        assert_eq!(parsed.get("threads").and_then(Json::as_num), Some(8.0));
         assert_eq!(parsed.get("cores").and_then(Json::as_num), Some(8.0));
         assert!(check_regressions(&report, &parsed).is_empty());
 
@@ -1405,7 +1322,7 @@ mod tests {
 
     #[test]
     fn check_still_reads_v1_baselines() {
-        // A committed v1 file: no schema bump, no threads fields anywhere.
+        // A committed v1 file: no `cores` field, no per-suite extras.
         let v1 = r#"{
             "schema": "commspec-perf/v1",
             "mode": "full", "reps": 5, "warmup": 2,
@@ -1415,39 +1332,17 @@ mod tests {
             ]
         }"#;
         let parsed = parse_json(v1).unwrap();
-        let good = report(vec![suite("compress_r64", "compression", 5.4, None)]);
+        let good = report(vec![suite("compress_r64", "compression", 5.4)]);
         assert!(check_regressions(&good, &parsed).is_empty());
-        let bad = report(vec![suite("compress_r64", "compression", 1.0, None)]);
+        let bad = report(vec![suite("compress_r64", "compression", 1.0)]);
         let errors = check_regressions(&bad, &parsed);
         assert_eq!(errors.len(), 1, "{errors:?}");
     }
 
     #[test]
-    fn check_skips_suites_measured_at_a_different_pool_width() {
-        // Committed: merge_r256 measured at threads=8. A fresh run at
-        // threads=1 (or 4) measures a different quantity and is skipped; a
-        // fresh run at the same width is gated.
-        let committed = parse_json(
-            &report(vec![suite("merge_r256", "merge", 4.0, Some(8))])
-                .to_json()
-                .to_string(),
-        )
-        .unwrap();
-        let narrower = report(vec![suite("merge_r256", "merge", 1.0, Some(1))]);
-        assert!(check_regressions(&narrower, &committed).is_empty());
-        let same_width_regressed = report(vec![suite("merge_r256", "merge", 1.0, Some(8))]);
-        assert_eq!(
-            check_regressions(&same_width_regressed, &committed).len(),
-            1
-        );
-        let same_width_ok = report(vec![suite("merge_r256", "merge", 3.9, Some(8))]);
-        assert!(check_regressions(&same_width_ok, &committed).is_empty());
-    }
-
-    #[test]
     fn merge_wall_scaling_gate_trips_on_p_dependent_cost() {
         let row = |name: &str, ns: u64| {
-            let mut s = suite(name, "merge", 4.0, Some(8));
+            let mut s = suite(name, "merge", 4.0);
             s.current_ns = ns;
             s
         };
@@ -1478,7 +1373,7 @@ mod tests {
     #[test]
     fn merge_peak_scaling_gate_floors_noise_and_trips_on_growth() {
         let row = |name: &str, peak: Option<u64>| {
-            let mut s = suite(name, "merge", 4.0, Some(8));
+            let mut s = suite(name, "merge", 4.0);
             s.peak_rss_kb = peak;
             s
         };
@@ -1512,8 +1407,7 @@ mod tests {
             let streams: Vec<_> = (0..MERGE_LARGE_BLOCKS)
                 .map(|b| block_stream(b, n))
                 .collect();
-            let (nodes, stats) =
-                merge_sequences_stats(streams, n, 1, MergeStrategy::ClassCollapsed);
+            let (nodes, stats) = merge_sequences_stats(streams, n, MergeStrategy::ClassCollapsed);
             assert_eq!(stats.classes, 1, "all blocks are one behavior class");
             nodes
         };
@@ -1531,7 +1425,7 @@ mod tests {
 
     #[test]
     fn merge_suite_json_carries_phase_counters() {
-        let mut s = suite("merge_r64", "merge", 4.0, Some(1));
+        let mut s = suite("merge_r64", "merge", 4.0);
         s.merge_stats = Some(MergeStats {
             members: 64,
             classes: 1,
@@ -1555,7 +1449,7 @@ mod tests {
         assert_eq!(json.get("speedup").and_then(Json::as_num), Some(4.0));
         // And the gate itself ignores them.
         let committed = parse_json(
-            &report(vec![suite("merge_r64", "merge", 4.0, Some(1))])
+            &report(vec![suite("merge_r64", "merge", 4.0)])
                 .to_json()
                 .to_string(),
         )
@@ -1566,7 +1460,7 @@ mod tests {
 
     #[test]
     fn stream_suite_json_carries_capture_counters() {
-        let mut s = suite("stream_capture_r8", "stream", 0.9, None);
+        let mut s = suite("stream_capture_r8", "stream", 0.9);
         s.stream_stats = Some(StreamSuiteStats {
             budget: 192,
             counters: StreamCounters {
@@ -1600,7 +1494,7 @@ mod tests {
         // baseline without the stream suite simply does not gate it.
         assert_eq!(json.get("speedup").and_then(Json::as_num), Some(0.9));
         let committed = parse_json(
-            &report(vec![suite("merge_r64", "merge", 4.0, Some(1))])
+            &report(vec![suite("merge_r64", "merge", 4.0)])
                 .to_json()
                 .to_string(),
         )
@@ -1614,25 +1508,21 @@ mod tests {
         let p = 8;
         let streams: Vec<Vec<TraceNode>> = (0..p).map(|r| distinct_stream(r, p)).collect();
         let (merged, stats) =
-            merge_sequences_stats(streams.clone(), p, 1, MergeStrategy::ClassCollapsed);
+            merge_sequences_stats(streams.clone(), p, MergeStrategy::ClassCollapsed);
         assert_eq!(stats.classes, p as u64, "every rank is its own class");
         assert_eq!(stats.rep_merges, p as u64 - 1);
         let pairwise =
-            scalatrace::merge::merge_sequences_strategy(streams, p, 1, MergeStrategy::Pairwise);
+            scalatrace::merge::merge_sequences_strategy(streams, p, MergeStrategy::Pairwise);
         assert_eq!(merged, pairwise, "worst case still matches the seed path");
         assert_eq!(merged.len(), p * DISTINCT_TIMESTEPS * 3);
     }
 
     #[test]
-    fn merge_stream_is_thread_count_invariant_and_actually_merges() {
+    fn merge_stream_actually_merges() {
         let p = 16;
         let streams: Vec<Vec<TraceNode>> = (0..p).map(|r| merge_stream(r, p)).collect();
         let len = streams[0].len();
-        let seq = scalatrace::merge::merge_sequences_with(streams.clone(), p, 1);
-        for threads in [2, 8] {
-            let par_out = scalatrace::merge::merge_sequences_with(streams.clone(), p, threads);
-            assert_eq!(par_out, seq, "threads={threads}");
-        }
+        let seq = scalatrace::merge::merge_sequences(streams, p);
         // Full SPMD merge: the global sequence keeps the per-rank length and
         // every node covers all ranks.
         assert_eq!(seq.len(), len);

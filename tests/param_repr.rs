@@ -7,8 +7,8 @@
 //! mpiP-style profile must be byte-identical whichever representation the
 //! merge ran under.
 //!
-//! `ParamRepr` is thread-local, so the merge is forced onto the calling
-//! thread with `par::scoped_threads(1)` before flipping the repr.
+//! `ParamRepr` is thread-local; the merge runs on the calling thread, so
+//! flipping it there governs the whole trace.
 
 use benchgen::verify::profile_of_trace;
 use miniapps::{registry, AppParams};
@@ -57,7 +57,6 @@ fn assert_identical(sym: &Observed, dense: &Observed, what: &str) {
 
 #[test]
 fn symbolic_and_dense_reprs_agree_on_every_registry_app() {
-    let _guard = par::scoped_threads(1);
     for app in registry::all() {
         let ranks = smallest_ranks(app);
         let params = AppParams::quick();
@@ -79,7 +78,6 @@ fn symbolic_and_dense_reprs_agree_on_every_registry_app() {
 
 #[test]
 fn symbolic_and_dense_reprs_agree_on_crashed_partial_traces() {
-    let _guard = par::scoped_threads(1);
     // crash a different rank at a different point per app so the salvaged
     // prefixes differ in shape, not just in length
     for (i, app) in registry::all().iter().enumerate() {
